@@ -53,7 +53,25 @@ Dataset load_binary(const std::string& path) {
   GSJ_CHECK_MSG(version == kVersion, "unsupported version " << version);
   const auto dims = read_pod<std::uint32_t>(f);
   const auto n = read_pod<std::uint64_t>(f);
-  GSJ_CHECK_MSG(dims >= 1 && dims <= 16, "bad dims " << dims);
+  // One dims limit everywhere: the grid index and the churn log both
+  // stop at Mutation::kCoordCap.
+  GSJ_CHECK_MSG(dims >= 1 && dims <= static_cast<std::uint32_t>(
+                                        Mutation::kCoordCap),
+                "bad dims " << dims);
+  // Size the payload from the file before allocating it: a corrupt
+  // header must not turn into a huge allocation.
+  const std::streamoff header_end = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streamoff file_end = f.tellg();
+  f.seekg(header_end);
+  GSJ_CHECK_MSG(f.good() && header_end >= 0 && file_end >= header_end,
+                "cannot size dataset file " << path);
+  const auto remaining = static_cast<std::uint64_t>(file_end - header_end);
+  const std::uint64_t per_point = std::uint64_t{dims} * sizeof(double);
+  GSJ_CHECK_MSG(n <= remaining / per_point,
+                "truncated dataset file " << path << ": header declares "
+                    << n << " points, payload holds "
+                    << remaining / per_point);
   Dataset ds(static_cast<int>(dims), static_cast<std::size_t>(n));
   for (std::uint32_t d = 0; d < dims; ++d) {
     auto col = ds.fill_dim(static_cast<int>(d));

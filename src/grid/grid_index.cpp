@@ -94,8 +94,28 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
     point_cell_[p] = static_cast<std::uint32_t>(cells_.size() - 1);
   }
 
+  gather_cell_coords(pool);
   generation_ = ds.generation();
   recompute_content_key();
+}
+
+void GridIndex::gather_cell_coords(ThreadPool* pool) {
+  const std::size_t npts = point_ids_.size();
+  cell_coords_.resize(static_cast<std::size_t>(dims()) * npts);
+  const auto gather = [&](std::size_t first, std::size_t last) {
+    for (int d = 0; d < dims(); ++d) {
+      const double* src = ds_->dim(d).data();
+      double* dst = cell_coords_.data() + static_cast<std::size_t>(d) * npts;
+      for (std::size_t pos = first; pos < last; ++pos) {
+        dst[pos] = src[point_ids_[pos]];
+      }
+    }
+  };
+  if (pool != nullptr && pool->size() > 1) {
+    pool->parallel_for_chunks(npts, gather);
+  } else {
+    gather(0, npts);
+  }
 }
 
 void GridIndex::recompute_content_key() {
@@ -242,6 +262,7 @@ GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
   }
   cells_ = std::move(new_cells);
   point_ids_ = std::move(new_point_ids);
+  gather_cell_coords(pool);
   generation_ = ds.generation();
   recompute_content_key();
 

@@ -8,7 +8,12 @@
 //                      searchable, this is the paper's array B),
 //   * `point_ids()`  — all point ids grouped by cell (each cell owns a
 //                      contiguous range), giving O(|D|) space,
-//   * per-point back-references (owning cell, rank within grid order).
+//   * per-point back-references (owning cell, rank within grid order),
+//   * `cell_coords(d)` — a cell-ordered SoA copy of the coordinates
+//                      (`cell_coords(d)[pos] == coord(point_ids()[pos], d)`),
+//                      so a cell's candidates are contiguous in memory
+//                      and a kernel's scan reads them without the
+//                      point-id gather.
 #pragma once
 
 #include <array>
@@ -125,6 +130,16 @@ class GridIndex {
     return point_ids_;
   }
 
+  /// Coordinates along dimension `d` in grid order: entry `pos` is the
+  /// coordinate of point point_ids()[pos]. Built with the index and
+  /// refreshed by repair(); not part of content_key(), since it is a
+  /// pure function of the dataset and point_ids(), which the key
+  /// already certifies.
+  [[nodiscard]] std::span<const double> cell_coords(int d) const noexcept {
+    const std::size_t n = point_ids_.size();
+    return {cell_coords_.data() + static_cast<std::size_t>(d) * n, n};
+  }
+
   /// Points of cell `cell_idx` (an index into cells()).
   [[nodiscard]] std::span<const PointId> cell_points(std::size_t cell_idx) const;
 
@@ -209,13 +224,15 @@ class GridIndex {
     return v;
   }
 
-  /// Approximate heap footprint of the index (cell array + the three
-  /// per-point vectors); feeds JoinService cache accounting.
+  /// Approximate heap footprint of the index (cell array, the three
+  /// per-point vectors and the cell-ordered coordinates); feeds
+  /// JoinService cache accounting.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return cells_.capacity() * sizeof(GridCell) +
            point_ids_.capacity() * sizeof(PointId) +
            point_cell_.capacity() * sizeof(std::uint32_t) +
-           point_rank_.capacity() * sizeof(std::uint32_t);
+           point_rank_.capacity() * sizeof(std::uint32_t) +
+           cell_coords_.capacity() * sizeof(double);
   }
 
  private:
@@ -224,6 +241,8 @@ class GridIndex {
   /// shared by the constructor and repair() so digest equality between
   /// a repaired index and a from-scratch rebuild proves bit-identity.
   void recompute_content_key();
+  /// Re-gathers cell_coords_ from the dataset in point_ids_ order.
+  void gather_cell_coords(ThreadPool* pool);
   /// Linear cell id of a location (max-boundary coordinates fold into
   /// the last cell, exactly as at build).
   [[nodiscard]] std::uint64_t clamped_cell_id(
@@ -240,6 +259,7 @@ class GridIndex {
   std::vector<PointId> point_ids_;
   std::vector<std::uint32_t> point_cell_;  ///< point id -> cells_ index
   std::vector<std::uint32_t> point_rank_;  ///< point id -> point_ids_ position
+  std::vector<double> cell_coords_;  ///< [dim][pos], grid-ordered coordinates
 };
 
 template <typename Fn>

@@ -40,6 +40,19 @@
 // bit-identical to the sequential path; kernels lacking the shard API
 // silently keep the sequential path.
 //
+// Whole-warp runners. The generic lockstep loop (detail::warp_step_loop)
+// makes one step() call per lane per modeled step, which is what every
+// kernel is specified against. A kernel may additionally provide
+//
+//   WarpRun K::run_warp(int warp_size, LaneState*, const uint8_t* active,
+//                       uint64_t init_cost);
+//   WarpRun K::run_warp(..., Shard&);      // if it has the shard API
+//
+// returning exactly what warp_step_loop would compute over the same
+// initialized lanes, with the same side effects in the same order
+// (docs/SIMULATOR.md gives the equivalence argument). launch then calls
+// run_warp instead of the loop, on both host paths.
+//
 // Abortable launch. An optional `should_abort` hook is polled every
 // detail::kWarpBlock warps — at the *same* warp-count boundaries on the
 // sequential and parallel paths (the parallel path's block merges), so
@@ -114,6 +127,23 @@ concept ParallelHostKernel =
       k.merge_shard(std::move(shard));
     };
 
+/// One warp's step-loop outcome (cycles include init).
+struct WarpRun {
+  std::uint64_t cycles = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t active_lane_steps = 0;
+};
+
+/// Kernels that run a whole dispatched warp themselves (see header
+/// comment); a WarpRunnerKernel that is also a ParallelHostKernel must
+/// provide the Shard overload too.
+template <typename K>
+concept WarpRunnerKernel =
+    requires(K& k, typename K::LaneState* lanes, const std::uint8_t* active,
+             std::uint64_t init_cost) {
+      { k.run_warp(int{}, lanes, active, init_cost) } -> std::same_as<WarpRun>;
+    };
+
 /// Launch abort hook: polled between warp blocks; returning true stops
 /// the launch before the next block (see header comment).
 using LaunchAbort = std::function<bool()>;
@@ -186,13 +216,6 @@ class SlotSchedule {
   using Slot = std::pair<std::uint64_t, int>;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<>> slots_;
   std::vector<std::uint64_t> slot_finish_;
-};
-
-/// One warp's step-loop outcome (cycles include init).
-struct WarpRun {
-  std::uint64_t cycles = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t active_lane_steps = 0;
 };
 
 /// Runs init_lane over one warp's lanes (in lane order); returns the
@@ -277,7 +300,7 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
   const bool observed = static_cast<bool>(observer);
 
   auto retire = [&](std::uint64_t w, std::uint64_t seq,
-                    const detail::WarpRun& run) {
+                    const WarpRun& run) {
     stats.warp_steps += run.steps;
     stats.active_lane_steps += run.active_lane_steps;
     stats.busy_cycles += run.cycles;
@@ -313,7 +336,7 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
           static_cast<std::size_t>(block * ws));
       std::vector<std::uint8_t> active(static_cast<std::size_t>(block * ws));
       std::vector<std::uint64_t> init_costs(static_cast<std::size_t>(block));
-      std::vector<detail::WarpRun> runs(static_cast<std::size_t>(block));
+      std::vector<WarpRun> runs(static_cast<std::size_t>(block));
       std::vector<Shard> shards;
       shards.reserve(static_cast<std::size_t>(block));
       WarpScratch scratch{};
@@ -333,12 +356,18 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
         // Pass 2 — parallel step loops into per-warp shards.
         pool->parallel_for(static_cast<std::size_t>(bsize), [&](std::size_t i) {
           const std::size_t off = i * static_cast<std::size_t>(ws);
-          runs[i] = detail::warp_step_loop(
-              cfg.warp_size, lanes.data() + off, active.data() + off,
-              init_costs[i],
-              [&k, &shard = shards[i]](typename K::LaneState& s) {
-                return k.step(s, shard);
-              });
+          if constexpr (WarpRunnerKernel<K>) {
+            runs[i] = k.run_warp(cfg.warp_size, lanes.data() + off,
+                                 active.data() + off, init_costs[i],
+                                 shards[i]);
+          } else {
+            runs[i] = detail::warp_step_loop(
+                cfg.warp_size, lanes.data() + off, active.data() + off,
+                init_costs[i],
+                [&k, &shard = shards[i]](typename K::LaneState& s) {
+                  return k.step(s, shard);
+                });
+          }
         });
         // Pass 3 — sequential replay: slot heap, stats, observer and
         // shard merge in dispatch order.
@@ -375,9 +404,15 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
       const std::uint64_t w = order[static_cast<std::size_t>(seq)];
       const std::uint64_t init_cost = detail::init_warp(
           cfg, num_threads, k, w, lanes.data(), active.data(), scratch);
-      const detail::WarpRun run = detail::warp_step_loop(
-          cfg.warp_size, lanes.data(), active.data(), init_cost,
-          [&k](typename K::LaneState& s) { return k.step(s); });
+      WarpRun run;
+      if constexpr (WarpRunnerKernel<K>) {
+        run = k.run_warp(cfg.warp_size, lanes.data(), active.data(),
+                         init_cost);
+      } else {
+        run = detail::warp_step_loop(
+            cfg.warp_size, lanes.data(), active.data(), init_cost,
+            [&k](typename K::LaneState& s) { return k.step(s); });
+      }
       retire(w, seq, run);
     }
   }

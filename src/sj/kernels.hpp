@@ -25,6 +25,30 @@
 //   Scan step     — one candidate distance calculation (cost_dist) and,
 //       within epsilon, result emission (cost_emit).
 //
+// That per-step form (init_lane + step) is the specification, and the
+// one the generic simt loop and the oracle tests drive. The launch
+// itself calls run_warp (simt::WarpRunnerKernel), which executes the
+// same programs lane-major in one tight routine and reproduces every
+// modeled quantity bit for bit:
+//   * each lane walks its own program — one step per adjacency slot and
+//     a scan run per non-empty cell at stride k — with no per-step call,
+//     reading candidates from the grid's cell-ordered coordinates
+//     (GridIndex::cell_coords), so a cell's candidates are contiguous;
+//   * each step's cost is max-accumulated into a per-warp step_max[t];
+//     the warp's cycles are init + Σ_t step_max[t], its steps
+//     |step_max| and its active lane-steps the sum of lane lengths,
+//     exactly what simt::detail::warp_step_loop computes;
+//   * the 3^n slot program of an origin cell (cost and candidate range
+//     per slot) is built once per warp and replayed by every lane with
+//     that origin — the k lanes of a group and same-cell neighbours in
+//     the query order; the centre slot stays lane-specific (rank rule,
+//     self pair);
+//   * emissions are tagged with their step and written through a
+//     stable counting sort by step, so the stored pair stream stays
+//     step-major, lane-minor — byte-identical to the lockstep loop.
+// docs/SIMULATOR.md has the equivalence argument, docs/PERFORMANCE.md
+// the host-time effect.
+//
 // Result-pair semantics match reference.hpp: all ordered pairs with
 // self pairs. FULL evaluates both directions and emits one pair per
 // evaluation; the unidirectional patterns evaluate each unordered pair
@@ -141,6 +165,23 @@ class SelfJoinKernel {
     p_.results->absorb(std::move(shard.results));
   }
 
+  // --- whole-warp runner (simt::WarpRunnerKernel) ---
+  /// Runs one dispatched warp's lockstep loop lane-major over lanes
+  /// already initialized by init_lane; returns exactly what
+  /// simt::detail::warp_step_loop would over step() (see header).
+  simt::WarpRun run_warp(int warp_size, const LaneState* lanes,
+                         const std::uint8_t* active, std::uint64_t init_cost) {
+    return run_warp_into(warp_size, lanes, active, init_cost, *p_.results,
+                         emitted_);
+  }
+  /// Thread-safe variant for the parallel host path (cf. step(s, shard)).
+  simt::WarpRun run_warp(int warp_size, const LaneState* lanes,
+                         const std::uint8_t* active, std::uint64_t init_cost,
+                         Shard& shard) const {
+    return run_warp_into(warp_size, lanes, active, init_cost, shard.results,
+                         shard.emitted);
+  }
+
   [[nodiscard]] std::uint64_t atomics_executed() const noexcept {
     return atomics_;
   }
@@ -156,41 +197,39 @@ class SelfJoinKernel {
   simt::StepResult scan(LaneState& s, ResultSet& out,
                         std::uint64_t& emitted) const;
 
-  /// Query `a` (probe dataset in R×S mode, gridded dataset otherwise)
-  /// against candidate `b` (always the gridded dataset). qcoords_
-  /// aliases coords_ for the self-join, so this is the one distance
-  /// routine for both modes.
-  [[nodiscard]] double dist2(PointId a, PointId b) const noexcept {
+  simt::WarpRun run_warp_into(int warp_size, const LaneState* lanes,
+                              const std::uint8_t* active,
+                              std::uint64_t init_cost, ResultSet& out,
+                              std::uint64_t& emitted) const;
+  template <int D>
+  simt::WarpRun run_warp_dims(int warp_size, const LaneState* lanes,
+                              const std::uint8_t* active,
+                              std::uint64_t init_cost, ResultSet& out,
+                              std::uint64_t& emitted) const;
+
+  /// Squared distance of query `q` (probe dataset in R×S mode, gridded
+  /// dataset otherwise) to the candidate at grid-order position `pos`
+  /// (always the gridded dataset), for both modes. run_warp_dims
+  /// unrolls the same sum, in the same order, per dimensionality.
+  [[nodiscard]] double dist2(PointId q, std::uint32_t pos) const noexcept {
     double sum = 0.0;
     for (int d = 0; d < dims_; ++d) {
-      const double diff = qcoords_[static_cast<std::size_t>(d)][a] -
-                          coords_[static_cast<std::size_t>(d)][b];
+      const double diff = qcoords_[static_cast<std::size_t>(d)][q] -
+                          cell_coords_[static_cast<std::size_t>(d)][pos];
       sum += diff * diff;
     }
     return sum;
-  }
-
-  /// dist(a, b) <= epsilon with per-dimension short-circuit for
-  /// dims > 2 (host-side speedup only — the modeled cost_dist is
-  /// charged in full either way, like SUPER-EGO's early termination).
-  [[nodiscard]] bool within_eps(PointId a, PointId b) const noexcept {
-    if (dims_ <= 2) return dist2(a, b) <= eps2_;
-    double sum = 0.0;
-    for (int d = 0; d < dims_; ++d) {
-      const double diff = qcoords_[static_cast<std::size_t>(d)][a] -
-                          coords_[static_cast<std::size_t>(d)][b];
-      sum += diff * diff;
-      if (sum > eps2_) return false;
-    }
-    return true;
   }
 
   KernelParams p_;
   // Cached hot fields.
   const GridCell* cells_ = nullptr;
   const PointId* point_ids_ = nullptr;
-  std::array<const double*, kMaxDims> coords_{};   ///< gridded dataset
-  std::array<const double*, kMaxDims> qcoords_{};  ///< query side (== coords_ for Self)
+  /// Gridded dataset in grid order (GridIndex::cell_coords).
+  std::array<const double*, kMaxDims> cell_coords_{};
+  /// Query side, by point id: the probe dataset for R×S, else the
+  /// gridded dataset.
+  std::array<const double*, kMaxDims> qcoords_{};
   int dims_ = 0;
   double eps2_ = 0.0;
   std::uint64_t adj_total_ = 0;   ///< 3^dims

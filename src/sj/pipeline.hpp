@@ -311,7 +311,10 @@ void knn_execute(const SelfJoinConfig& cfg, const Dataset& ds, Source& src,
   }
   out.stats.result_pairs = total;
   out.stats.warp_size = device.warp_size;
-  out.stats.total_seconds = exec_timer.seconds();
+  // KNN runs no SIMT launch, so it has no modeled time: total_seconds
+  // is modeled-only and stays 0 (the wall time is execute_seconds on
+  // the request breakdown, or the caller's own timer).
+  out.stats.total_seconds = 0.0;
   exec_span.finish();
   if (robs != nullptr) {
     if (robs->breakdown != nullptr) {

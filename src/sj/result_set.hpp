@@ -111,6 +111,12 @@ class ResultSet {
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] bool stores_pairs() const noexcept { return store_; }
+  /// True while emit() still stores pairs: pair storage is on and the
+  /// batch window is not full. Once false it stays false until the
+  /// next begin_batch/rollback_batch/clear.
+  [[nodiscard]] bool storing() const noexcept {
+    return store_ && count_ < store_limit_;
+  }
   [[nodiscard]] const std::vector<ResultPair>& pairs() const noexcept {
     return pairs_;
   }

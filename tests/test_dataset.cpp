@@ -190,5 +190,46 @@ TEST_F(IoTest, LoadRejectsGarbage) {
   EXPECT_THROW(load_binary(p), CheckError);
 }
 
+/// Writes a dataset-file header (magic, version 1, dims, n) followed by
+/// `payload_doubles` zero coordinates.
+void write_header(const std::string& p, std::uint32_t dims, std::uint64_t n,
+                  std::size_t payload_doubles) {
+  std::FILE* f = std::fopen(p.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t version = 1;
+  std::fwrite("GSJD", 1, 4, f);
+  std::fwrite(&version, sizeof version, 1, f);
+  std::fwrite(&dims, sizeof dims, 1, f);
+  std::fwrite(&n, sizeof n, 1, f);
+  const double zero = 0.0;
+  for (std::size_t i = 0; i < payload_doubles; ++i) {
+    std::fwrite(&zero, sizeof zero, 1, f);
+  }
+  std::fclose(f);
+}
+
+TEST_F(IoTest, HugePointCountIsTruncatedNotBadAlloc) {
+  const std::string p = path("gsj_io_test.bin");
+  write_header(p, 2, std::uint64_t{1} << 40, 8);
+  try {
+    (void)load_binary(p);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+  // A header that matches its payload still loads.
+  write_header(p, 2, 4, 8);
+  EXPECT_EQ(load_binary(p).size(), 4u);
+}
+
+TEST_F(IoTest, DimsCappedAtGridLimit) {
+  const std::string p = path("gsj_io_test.bin");
+  write_header(p, Mutation::kCoordCap + 1, 1, Mutation::kCoordCap + 1);
+  EXPECT_THROW(load_binary(p), CheckError);
+  write_header(p, Mutation::kCoordCap, 1, Mutation::kCoordCap);
+  EXPECT_EQ(load_binary(p).dims(), Mutation::kCoordCap);
+}
+
 }  // namespace
 }  // namespace gsj

@@ -139,11 +139,11 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariants, HostParallelEquivalence,
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values(1, 2, max_threads())),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& param_info) {
       std::string name = kVariants[static_cast<std::size_t>(
-                             std::get<0>(info.param))].name;
+                             std::get<0>(param_info.param))].name;
       std::replace(name.begin(), name.end(), '-', '_');
-      return name + "_t" + std::to_string(std::get<1>(info.param));
+      return name + "_t" + std::to_string(std::get<1>(param_info.param));
     });
 
 TEST(HostParallel, OverflowRecoveryBitIdenticalToSequential) {
@@ -211,8 +211,8 @@ TEST(HostParallel, ExternalPoolIsReusedAcrossJoins) {
 }
 
 TEST(HostParallel, SixDimEarlyExitUnchangedResultsAndCost) {
-  // dist2 short-circuit (dims > 2) must change neither the result set
-  // nor any modeled cycle count.
+  // A 6-D join (the run_warp<6> distance loop) must give the same
+  // result set and modeled cycle counts on both host paths.
   const Dataset ds = gen_exponential(1200, 6, 119);
   SelfJoinConfig cfg = SelfJoinConfig::lid_unicomp(0.8);
   cfg.store_pairs = true;

@@ -8,13 +8,17 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "data/churn.hpp"
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
@@ -348,6 +352,90 @@ TEST(GridRepair, FallsBackAfterBulkLoad) {
   const GridRepairOutcome rep = grid.repair();
   EXPECT_FALSE(rep.repaired);
   EXPECT_EQ(grid.content_key(), GridIndex(ds, 0.08).content_key());
+}
+
+/// 3-d points in [0.1, 0.9]^3 plus two bbox anchors at ids 0 and 1
+/// (the corners of [0, 1]^3), so interior churn never moves the bbox.
+Dataset anchored_cube(std::size_t n, std::uint64_t seed) {
+  Dataset ds(3);
+  for (const double c : {0.0, 1.0}) {
+    const std::array<double, 3> corner{c, c, c};
+    ds.push_back(std::span<const double>(corner));
+  }
+  Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::array<double, 3> p{rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+                                  rng.uniform(0.1, 0.9)};
+    ds.push_back(std::span<const double>(p));
+  }
+  return ds;
+}
+
+TEST(GridRepair, CellCoordsMatchFreshBuildAfterEveryChurnFamily) {
+  struct Family {
+    const char* name;
+    void (*apply)(Dataset&);
+    bool patched;  ///< false: the bbox moves and repair rebuilds
+  };
+  const Family families[] = {
+      {"insert",
+       [](Dataset& ds) {
+         const std::array<double, 3> p{0.5, 0.25, 0.75};
+         (void)ds.insert(std::span<const double>(p));
+       },
+       true},
+      {"erase", [](Dataset& ds) { ds.erase(17); }, true},
+      {"move",
+       [](Dataset& ds) {
+         const std::array<double, 3> p{0.31, 0.62, 0.15};
+         ds.move_point(42, std::span<const double>(p));
+       },
+       true},
+      {"rename-chain",
+       [](Dataset& ds) {
+         ds.erase(9);  // the last point is renamed to 9 ...
+         ds.erase(9);  // ... and erased in turn, renaming the next
+         const std::array<double, 3> p{0.7, 0.7, 0.2};
+         ds.move_point(9, std::span<const double>(p));
+         ds.erase(3);
+       },
+       true},
+      {"bbox-moving insert",
+       [](Dataset& ds) {
+         const std::array<double, 3> p{4.0, 0.5, 0.5};
+         (void)ds.insert(std::span<const double>(p));
+       },
+       false},
+  };
+  ThreadPool pool(2);
+  for (const Family& f : families) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(std::string(f.name) + (p != nullptr ? " pooled" : ""));
+      Dataset ds = anchored_cube(600, 71);
+      GridIndex grid(ds, 0.1, p);
+      f.apply(ds);
+      EXPECT_EQ(grid.repair(p).repaired, f.patched);
+      const GridIndex fresh(ds, 0.1);
+      ASSERT_EQ(grid.content_key(), fresh.content_key());
+      const std::size_t n = ds.size();
+      for (int d = 0; d < ds.dims(); ++d) {
+        const auto got = grid.cell_coords(d);
+        const auto want = fresh.cell_coords(d);
+        ASSERT_EQ(got.size(), n);
+        ASSERT_EQ(want.size(), n);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0);
+        for (std::size_t pos = 0; pos < n; ++pos) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[pos]),
+                    std::bit_cast<std::uint64_t>(
+                        ds.coord(grid.point_ids()[pos], d)));
+        }
+      }
+      EXPECT_GE(grid.memory_bytes(),
+                grid.cells().size() * sizeof(GridCell) +
+                    n * (sizeof(PointId) + 2 * sizeof(std::uint32_t)) +
+                    n * static_cast<std::size_t>(ds.dims()) * sizeof(double));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

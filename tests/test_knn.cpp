@@ -137,6 +137,18 @@ TEST(KnnJoin, WideningStatsAreReported) {
   EXPECT_EQ(one.results.pairs(), out.results.pairs());
 }
 
+TEST(KnnJoin, ReportsNoModeledTime) {
+  // KNN runs no SIMT launch: the modeled-time fields stay 0 instead of
+  // carrying host wall time under a modeled name.
+  const RxsCase c = make_rxs_case(41);
+  SelfJoinConfig cfg;
+  cfg.store_pairs = false;
+  const SelfJoinOutput out = knn_join(c.s, c.r, 3, cfg);
+  EXPECT_GT(out.stats.result_pairs, 0u);
+  EXPECT_EQ(out.stats.total_seconds, 0.0);
+  EXPECT_EQ(out.stats.kernel_seconds, 0.0);
+}
+
 TEST(KnnJoin, GridCacheServesRepeatWideningRounds) {
   // The per-ε LRU grid cache is what makes the widening schedule
   // affordable: a second KNN run over the same schedule must resolve

@@ -96,6 +96,20 @@ std::vector<SelfJoinConfig> client_mix() {
   return cfgs;
 }
 
+/// Input of a request that must still be running when a test acts on
+/// it (pins a worker, or is cancelled mid-flight): about a second of
+/// kernel work, which a cancel still stops within one warp block. A
+/// small input would finish first on a fast host and turn a timing race
+/// into the test's outcome.
+Dataset long_run_dataset() { return gen_uniform(100'000, 2, 77, 0.0, 1.0); }
+
+JoinRequest long_run_request() {
+  JoinRequest r;
+  r.config = SelfJoinConfig::combined(0.05);
+  r.config.store_pairs = false;
+  return r;
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance-bar stress: 4 client threads with mixed variants and
 // epsilons against one service, plus a mid-flight cancellation riding
@@ -103,6 +117,7 @@ std::vector<SelfJoinConfig> client_mix() {
 
 TEST(Service, ConcurrentClientsBitIdenticalToSerialColdReplay) {
   const Dataset ds = gen_uniform(1200, 2, /*seed=*/2025, 0.0, 1.0);
+  const Dataset long_ds = long_run_dataset();
   JoinService svc;
   const auto sd = svc.attach(ds);
 
@@ -113,10 +128,8 @@ TEST(Service, ConcurrentClientsBitIdenticalToSerialColdReplay) {
 
   // One queued request cancelled genuinely mid-flight while the client
   // threads hammer the shared caches.
-  JoinRequest victim;
-  victim.config = SelfJoinConfig::combined(0.3);
-  victim.config.store_pairs = false;
-  JoinService::Ticket victim_ticket = svc.submit(sd, victim);
+  JoinService::Ticket victim_ticket =
+      svc.submit(svc.attach(long_ds), long_run_request());
 
   std::vector<std::thread> clients;
   clients.reserve(kClients);
@@ -205,6 +218,7 @@ JoinRequest make_request(const Dataset&, double eps, int priority) {
 
 TEST(Service, PriorityOrdersQueuedRequests) {
   const Dataset ds = gen_uniform(1500, 2, 11, 0.0, 1.0);
+  const Dataset long_ds = long_run_dataset();
   ServiceConfig scfg;
   scfg.workers = 1;
   JoinService svc(scfg);
@@ -213,7 +227,7 @@ TEST(Service, PriorityOrdersQueuedRequests) {
   // Occupy the only worker, then queue low/mid/high priority requests
   // in worst-case submission order.
   JoinService::Ticket blocker =
-      svc.submit(sd, make_request(ds, /*eps=*/0.4, /*priority=*/0));
+      svc.submit(svc.attach(long_ds), long_run_request());
   while (!blocker.started()) std::this_thread::yield();
   JoinService::Ticket low = svc.submit(sd, make_request(ds, 0.02, 0));
   JoinService::Ticket mid = svc.submit(sd, make_request(ds, 0.02, 5));
@@ -238,12 +252,14 @@ TEST(Service, PriorityOrdersQueuedRequests) {
 
 TEST(Service, DeadlineExpiresInQueue) {
   const Dataset ds = gen_uniform(1500, 2, 12, 0.0, 1.0);
+  const Dataset long_ds = long_run_dataset();
   ServiceConfig scfg;
   scfg.workers = 1;
   JoinService svc(scfg);
   const auto sd = svc.attach(ds);
 
-  JoinService::Ticket blocker = svc.submit(sd, make_request(ds, 0.4, 0));
+  JoinService::Ticket blocker =
+      svc.submit(svc.attach(long_ds), long_run_request());
   while (!blocker.started()) std::this_thread::yield();
   JoinRequest doomed = make_request(ds, 0.02, 0);
   doomed.deadline_seconds = 0.0;  // any queue wait at all exceeds this
@@ -258,12 +274,14 @@ TEST(Service, DeadlineExpiresInQueue) {
 
 TEST(Service, CancelledWhileQueuedNeverRuns) {
   const Dataset ds = gen_uniform(1500, 2, 13, 0.0, 1.0);
+  const Dataset long_ds = long_run_dataset();
   ServiceConfig scfg;
   scfg.workers = 1;
   JoinService svc(scfg);
   const auto sd = svc.attach(ds);
 
-  JoinService::Ticket blocker = svc.submit(sd, make_request(ds, 0.4, 0));
+  JoinService::Ticket blocker =
+      svc.submit(svc.attach(long_ds), long_run_request());
   while (!blocker.started()) std::this_thread::yield();
   JoinService::Ticket t = svc.submit(sd, make_request(ds, 0.02, 0));
   t.cancel();  // still queued: the worker is pinned by the blocker
@@ -276,14 +294,14 @@ TEST(Service, CancelledWhileQueuedNeverRuns) {
 }
 
 TEST(Service, MidFlightCancellationAbortsTheRun) {
-  const Dataset ds = gen_uniform(2000, 2, 14, 0.0, 1.0);
+  const Dataset ds = long_run_dataset();
   JoinService svc;
   const auto sd = svc.attach(ds);
 
-  // Large radius -> a run long enough that the cancel lands while the
-  // launch loop is executing (the token is polled at every warp-block
-  // and batch boundary).
-  JoinService::Ticket t = svc.submit(sd, make_request(ds, 0.5, 0));
+  // A run long enough that the cancel lands while the launch loop is
+  // executing (the token is polled at every warp-block and batch
+  // boundary).
+  JoinService::Ticket t = svc.submit(sd, long_run_request());
   while (!t.started()) std::this_thread::yield();
   t.cancel();
   const JoinResponse r = t.get();
@@ -293,13 +311,15 @@ TEST(Service, MidFlightCancellationAbortsTheRun) {
 
 TEST(Service, FullQueueRejectsImmediately) {
   const Dataset ds = gen_uniform(1500, 2, 15, 0.0, 1.0);
+  const Dataset long_ds = long_run_dataset();
   ServiceConfig scfg;
   scfg.workers = 1;
   scfg.max_queue_depth = 1;
   JoinService svc(scfg);
   const auto sd = svc.attach(ds);
 
-  JoinService::Ticket blocker = svc.submit(sd, make_request(ds, 0.4, 0));
+  JoinService::Ticket blocker =
+      svc.submit(svc.attach(long_ds), long_run_request());
   while (!blocker.started()) std::this_thread::yield();
   JoinService::Ticket queued = svc.submit(sd, make_request(ds, 0.02, 0));
   JoinService::Ticket overflow = svc.submit(sd, make_request(ds, 0.02, 0));
