@@ -1,7 +1,8 @@
 // google-benchmark micro benchmarks of the host-side substrates: grid
 // construction, non-empty-cell lookup, workload quantification,
-// EGO-sort, and the distance inner loop — plus the warp-observer
-// zero-overhead guard of simt::launch.
+// EGO-sort, the distance inner loop and the self-join kernel's
+// whole-warp runner — plus the warp-observer zero-overhead guard of
+// simt::launch.
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.hpp"
@@ -9,6 +10,7 @@
 #include "grid/grid_index.hpp"
 #include "grid/workload.hpp"
 #include "simt/launch.hpp"
+#include "sj/kernels.hpp"
 #include "sj/reference.hpp"
 #include "sj/selfjoin.hpp"
 #include "superego/super_ego.hpp"
@@ -108,6 +110,54 @@ void BM_LaunchObserver(benchmark::State& state) {
   state.SetLabel(with_observer ? "observer=set" : "observer=unset");
 }
 BENCHMARK(BM_LaunchObserver)->Arg(0)->Arg(1);
+
+/// One sequential launch of the self-join kernel (LID-UNICOMP, static
+/// assignment, every point queried once) — SelfJoinKernel::run_warp
+/// does all of its work. Args: dims {2, 6}, store pairs {0, 1}, k
+/// {1, 8}. Reports candidate evaluations per second: the launch's
+/// active lane-steps minus each lane's 3^n slot steps and retiring
+/// step.
+void BM_RunWarp(benchmark::State& state) {
+  const int dims = static_cast<int>(state.range(0));
+  const bool store = state.range(1) != 0;
+  const int k = static_cast<int>(state.range(2));
+  // The paper's Expo2D2M / Expo6D2M occupancy at 20k / 3k points.
+  const gsj::Dataset ds = dims == 2 ? gsj::gen_exponential(20000, 2, 21, 4.0)
+                                    : gsj::gen_exponential(3000, 6, 22, 1.2);
+  const gsj::GridIndex grid(ds, dims == 2 ? 0.05 : 1.2);
+  std::vector<gsj::PointId> order(ds.size());
+  for (gsj::PointId p = 0; p < ds.size(); ++p) order[p] = p;
+  const gsj::simt::DeviceConfig device;
+  const std::uint64_t nthreads = order.size() * static_cast<std::uint64_t>(k);
+
+  std::uint64_t candidates = 0;
+  std::uint64_t pairs = 0;
+  for (auto _ : state) {
+    gsj::ResultSet results(store);
+    results.begin_batch(gsj::ResultSet::kUnlimited);
+    gsj::KernelParams p;
+    p.grid = &grid;
+    p.pattern = gsj::CellPattern::LidUnicomp;
+    p.k = k;
+    p.points = order;
+    p.device = &device;
+    p.results = &results;
+    gsj::SelfJoinKernel kernel(p);
+    const auto ks = gsj::simt::launch(device, nthreads, kernel);
+    candidates += ks.active_lane_steps -
+                  nthreads * (grid.adjacency_volume() + 1);
+    pairs = results.count();
+    benchmark::DoNotOptimize(pairs);
+  }
+  state.counters["cand_per_s"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kIsRate);
+  state.SetLabel(std::to_string(dims) + "-D " +
+                 (store ? "pairs" : "count") + " k=" + std::to_string(k) +
+                 " pairs=" + std::to_string(pairs));
+}
+BENCHMARK(BM_RunWarp)
+    ->ArgsProduct({{2, 6}, {0, 1}, {1, 8}})
+    ->Unit(benchmark::kMillisecond);
 
 /// End-to-end self-join wall time vs `--host-threads` (Arg 0 =
 /// sequential path). Results are bit-identical across arms; only the

@@ -2,11 +2,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 
 #include "common/check.hpp"
 
 namespace gsj {
+
+void check_finite(const char* what, std::size_t point,
+                  std::span<const double> p, int first_dim) {
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    GSJ_CHECK_MSG(std::isfinite(p[j]),
+                  what << ": non-finite coordinate " << p[j]
+                       << " in dimension " << first_dim + static_cast<int>(j)
+                       << " of point " << point);
+  }
+}
 
 std::uint64_t Dataset::next_uid() noexcept {
   // Starts at 1 so uid 0 can serve as "no dataset" in key schemes.
@@ -31,12 +42,9 @@ Dataset::Dataset(const Dataset& other)
       generation_(other.generation_),
       coords_(other.coords_),
       log_(other.log_),
-      log_base_gen_(other.log_base_gen_),
-      bbox_valid_(other.bbox_valid_),
-      bbox_min_(other.bbox_min_),
-      bbox_max_(other.bbox_max_),
-      bbox_min_dirty_(other.bbox_min_dirty_),
-      bbox_max_dirty_(other.bbox_max_dirty_) {}
+      log_base_gen_(other.log_base_gen_) {
+  copy_bbox(other);
+}
 
 Dataset& Dataset::operator=(const Dataset& other) {
   if (this == &other) return *this;
@@ -47,12 +55,20 @@ Dataset& Dataset::operator=(const Dataset& other) {
   coords_ = other.coords_;
   log_ = other.log_;
   log_base_gen_ = other.log_base_gen_;
-  bbox_valid_ = other.bbox_valid_;
+  copy_bbox(other);
+  return *this;
+}
+
+void Dataset::copy_bbox(const Dataset& other) {
+  // Only a published cache is copied: `other` may be building its own
+  // under a concurrent first read.
+  set_bbox_valid(false);
+  if (!other.bbox_valid()) return;
   bbox_min_ = other.bbox_min_;
   bbox_max_ = other.bbox_max_;
   bbox_min_dirty_ = other.bbox_min_dirty_;
   bbox_max_dirty_ = other.bbox_max_dirty_;
-  return *this;
+  set_bbox_valid(true);
 }
 
 void Dataset::log_mutation(Mutation m) {
@@ -88,7 +104,7 @@ std::optional<std::span<const Mutation>> Dataset::mutations_since(
 }
 
 void Dataset::refresh_bbox() {
-  if (!bbox_valid_) return;
+  if (!bbox_valid()) return;
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
     const auto& col = coords_[sd];
@@ -104,7 +120,7 @@ void Dataset::refresh_bbox() {
 }
 
 void Dataset::bbox_extend(std::span<const double> p) {
-  if (!bbox_valid_) return;
+  if (!bbox_valid()) return;
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
     // Dirty dims get rescanned anyway; extending them is harmless but
@@ -119,7 +135,7 @@ void Dataset::bbox_extend(std::span<const double> p) {
 }
 
 void Dataset::bbox_mark_removed(std::span<const double> old) {
-  if (!bbox_valid_) return;
+  if (!bbox_valid()) return;
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
     // A coordinate sitting exactly on the cached boundary may have
@@ -132,6 +148,7 @@ void Dataset::bbox_mark_removed(std::span<const double> old) {
 
 PointId Dataset::insert(std::span<const double> p) {
   GSJ_CHECK(static_cast<int>(p.size()) == dims_);
+  check_finite("insert", n_, p);
   refresh_bbox();
   const PointId id = static_cast<PointId>(n_);
   for (int d = 0; d < dims_; ++d) {
@@ -177,7 +194,7 @@ void Dataset::erase(PointId i) {
   if (n_ == 0) {
     // Bounding box of an empty dataset is undefined; drop the cache so
     // the first insert rebuilds it from scratch.
-    bbox_valid_ = false;
+    set_bbox_valid(false);
   } else {
     bbox_mark_removed(old);
   }
@@ -187,6 +204,7 @@ void Dataset::erase(PointId i) {
 void Dataset::move_point(PointId i, std::span<const double> p) {
   GSJ_CHECK_MSG(i < n_, "move_point(" << i << ") of " << n_ << " points");
   GSJ_CHECK(static_cast<int>(p.size()) == dims_);
+  check_finite("move_point", i, p);
   refresh_bbox();
   Mutation m;
   m.kind = Mutation::Kind::Move;
@@ -210,6 +228,8 @@ void Dataset::move_point(PointId i, std::span<const double> p) {
 
 void Dataset::set_coord(PointId i, int d, double v) {
   GSJ_CHECK_MSG(d >= 0 && d < dims_, "set_coord dim " << d);
+  GSJ_CHECK_MSG(i < n_, "set_coord(" << i << ") of " << n_ << " points");
+  check_finite("set_coord", i, std::span<const double>(&v, 1), d);
   std::vector<double> p(static_cast<std::size_t>(dims_));
   for (int dd = 0; dd < dims_; ++dd) {
     p[static_cast<std::size_t>(dd)] = coord(i, dd);
@@ -223,7 +243,7 @@ std::span<double> Dataset::fill_dim(int d) {
   ++generation_;
   log_.clear();
   log_base_gen_ = generation_;
-  bbox_valid_ = false;
+  set_bbox_valid(false);
   return coords_[static_cast<std::size_t>(d)];
 }
 
@@ -231,32 +251,32 @@ void Dataset::reserve(std::size_t n) {
   for (auto& c : coords_) c.reserve(n);
 }
 
+void Dataset::ensure_bbox() const {
+  if (bbox_valid()) return;
+  const std::lock_guard<std::mutex> lock(bbox_guard_.mu);
+  if (bbox_guard_.valid.load(std::memory_order_relaxed)) return;
+  // First read since construction or a full invalidation: full scan.
+  // A logical-const update, safe because mutations are never concurrent
+  // with const reads (the dataset's threading contract); concurrent
+  // first readers serialize here and later ones see the published cache.
+  bbox_min_.resize(static_cast<std::size_t>(dims_));
+  bbox_max_.resize(static_cast<std::size_t>(dims_));
+  for (int d = 0; d < dims_; ++d) {
+    const auto sd = static_cast<std::size_t>(d);
+    const auto [lo, hi] =
+        std::minmax_element(coords_[sd].begin(), coords_[sd].end());
+    bbox_min_[sd] = *lo;
+    bbox_max_[sd] = *hi;
+  }
+  bbox_min_dirty_.assign(static_cast<std::size_t>(dims_), 0);
+  bbox_max_dirty_.assign(static_cast<std::size_t>(dims_), 0);
+  bbox_guard_.valid.store(true, std::memory_order_release);
+}
+
 std::vector<double> Dataset::min_corner() const {
   GSJ_CHECK(!empty());
+  ensure_bbox();
   std::vector<double> out(static_cast<std::size_t>(dims_));
-  if (!bbox_valid_) {
-    // First call: full scan. Caching here is a logical-const update;
-    // it is only safe because no mutation can be concurrent with a
-    // const read (the dataset's documented threading contract), and
-    // concurrent const readers race benignly only if we never publish
-    // a half-built cache — so build into locals first.
-    std::vector<double> mn(static_cast<std::size_t>(dims_));
-    std::vector<double> mx(static_cast<std::size_t>(dims_));
-    for (int d = 0; d < dims_; ++d) {
-      const auto sd = static_cast<std::size_t>(d);
-      const auto [lo, hi] =
-          std::minmax_element(coords_[sd].begin(), coords_[sd].end());
-      mn[sd] = *lo;
-      mx[sd] = *hi;
-    }
-    auto* self = const_cast<Dataset*>(this);
-    self->bbox_min_ = std::move(mn);
-    self->bbox_max_ = std::move(mx);
-    self->bbox_min_dirty_.assign(static_cast<std::size_t>(dims_), 0);
-    self->bbox_max_dirty_.assign(static_cast<std::size_t>(dims_), 0);
-    self->bbox_valid_ = true;
-    return bbox_min_;
-  }
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
     out[sd] = bbox_min_dirty_[sd] == 0
@@ -268,10 +288,7 @@ std::vector<double> Dataset::min_corner() const {
 
 std::vector<double> Dataset::max_corner() const {
   GSJ_CHECK(!empty());
-  if (!bbox_valid_) {
-    (void)min_corner();  // builds both sides of the cache
-    return bbox_max_;
-  }
+  ensure_bbox();
   std::vector<double> out(static_cast<std::size_t>(dims_));
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);

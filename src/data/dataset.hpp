@@ -23,9 +23,11 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -68,6 +70,13 @@ struct Mutation {
   std::array<double, kCoordCap> old_coords{};  ///< Erase / Move
   std::array<double, kCoordCap> new_coords{};  ///< Insert / Move
 };
+
+/// Throws CheckError unless every coordinate of `p` is finite, naming
+/// `what` (the operation or input), the point and the dimension
+/// (first_dim + index into `p`). Every ingestion path calls it, so NaN
+/// or ±inf never reaches a grid.
+void check_finite(const char* what, std::size_t point,
+                  std::span<const double> p, int first_dim = 0);
 
 class Dataset {
  public:
@@ -121,8 +130,10 @@ class Dataset {
     return coords_[static_cast<std::size_t>(d)];
   }
 
-  /// Appends one point; `p.size()` must equal dims(). Returns the new
-  /// point's id (== size() before the call).
+  /// Appends one point; `p.size()` must equal dims() and every
+  /// coordinate must be finite (CheckError naming the point and the
+  /// dimension otherwise). Returns the new point's id (== size() before
+  /// the call).
   PointId insert(std::span<const double> p);
 
   /// Appends one point (insert without the returned id — the
@@ -135,10 +146,12 @@ class Dataset {
   /// [0, size()).
   void erase(PointId i);
 
-  /// Re-positions point `i` to `p` (`p.size()` must equal dims()).
+  /// Re-positions point `i` to `p` (`p.size()` must equal dims(), every
+  /// coordinate finite).
   void move_point(PointId i, std::span<const double> p);
 
-  /// Sets one coordinate of point `i` — a single-dimension move_point.
+  /// Sets one coordinate of point `i` — a single-dimension move_point
+  /// (`v` must be finite).
   void set_coord(PointId i, int d, double v);
 
   /// Bulk-load write access to a whole coordinate column, for loaders
@@ -224,11 +237,39 @@ class Dataset {
   std::uint64_t log_base_gen_ = 0;
 
   // --- incrementally maintained bounding box ---
-  bool bbox_valid_ = false;               ///< cache holds current values
-  std::vector<double> bbox_min_;          ///< per-dim cached minimum
-  std::vector<double> bbox_max_;          ///< per-dim cached maximum
-  std::vector<std::uint8_t> bbox_min_dirty_;  ///< dim needs a rescan
-  std::vector<std::uint8_t> bbox_max_dirty_;
+  /// Publishes the cache to const readers: the first min_corner() /
+  /// max_corner() on a fresh dataset builds it under `mu` and sets
+  /// `valid` with release order, so concurrent first readers never
+  /// write the cache twice or read it half-built. Mutations (exclusive
+  /// access) reset `valid`. A copy takes the source's flag only.
+  struct BboxGuard {
+    std::atomic<bool> valid{false};  ///< cache holds current values
+    std::mutex mu;
+    BboxGuard() = default;
+    BboxGuard(const BboxGuard& o) noexcept
+        : valid(o.valid.load(std::memory_order_acquire)) {}
+    BboxGuard& operator=(const BboxGuard& o) noexcept {
+      valid.store(o.valid.load(std::memory_order_acquire),
+                  std::memory_order_release);
+      return *this;
+    }
+  };
+  [[nodiscard]] bool bbox_valid() const noexcept {
+    return bbox_guard_.valid.load(std::memory_order_acquire);
+  }
+  void set_bbox_valid(bool v) noexcept {
+    bbox_guard_.valid.store(v, std::memory_order_release);
+  }
+  /// Builds the cache on first use (see BboxGuard).
+  void ensure_bbox() const;
+  /// Copies `other`'s bbox cache if it is published, else invalidates.
+  void copy_bbox(const Dataset& other);
+
+  mutable BboxGuard bbox_guard_;
+  mutable std::vector<double> bbox_min_;  ///< per-dim cached minimum
+  mutable std::vector<double> bbox_max_;  ///< per-dim cached maximum
+  mutable std::vector<std::uint8_t> bbox_min_dirty_;  ///< dim needs a rescan
+  mutable std::vector<std::uint8_t> bbox_max_dirty_;
 };
 
 }  // namespace gsj

@@ -1,5 +1,6 @@
 #include "data/io.hpp"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -78,6 +79,11 @@ Dataset load_binary(const std::string& path) {
     f.read(reinterpret_cast<char*>(col.data()),
            static_cast<std::streamsize>(col.size() * sizeof(double)));
     GSJ_CHECK_MSG(f.good(), "truncated dataset file " << path);
+    for (std::size_t i = 0; i < col.size(); ++i) {
+      if (!std::isfinite(col[i])) {
+        check_finite(path.c_str(), i, col.subspan(i, 1), static_cast<int>(d));
+      }
+    }
   }
   return ds;
 }
@@ -97,6 +103,7 @@ Dataset load_csv(const std::string& path, int dims) {
                     "row with <" << dims << " columns in " << path);
       row[static_cast<std::size_t>(d)] = std::stod(cell);
     }
+    check_finite(path.c_str(), ds.size(), row);
     ds.push_back(row);
   }
   return ds;

@@ -34,18 +34,27 @@
 //     a scan run per non-empty cell at stride k — with no per-step call,
 //     reading candidates from the grid's cell-ordered coordinates
 //     (GridIndex::cell_coords), so a cell's candidates are contiguous;
-//   * each step's cost is max-accumulated into a per-warp step_max[t];
-//     the warp's cycles are init + Σ_t step_max[t], its steps
-//     |step_max| and its active lane-steps the sum of lane lengths,
-//     exactly what simt::detail::warp_step_loop computes;
-//   * the 3^n slot program of an origin cell (cost and candidate range
-//     per slot) is built once per warp and replayed by every lane with
-//     that origin — the k lanes of a group and same-cell neighbours in
-//     the query order; the centre slot stays lane-specific (rank rule,
-//     self pair);
-//   * emissions are tagged with their step and written through a
-//     stable counting sort by step, so the stored pair stream stays
-//     step-major, lane-minor — byte-identical to the lockstep loop.
+//   * every step costs one of six values (retire 1, pattern check,
+//     check+probe, check+emit for the centre self pair, distance,
+//     distance+emit), so each value is a bitset over the warp's steps:
+//     a lane ORs its slot runs in as ranges plus a shifted copy of its
+//     program's probe-slot bitset, and each scan run as one range plus
+//     64-wide hit masks from a branch-free distance loop. The warp's
+//     cycles are init + Σ_c cost_c·|B_c \ ∪_{cost_c' > cost_c} B_c'|,
+//     a word at a time, which equals Σ_t max_lane cost — exactly what
+//     simt::detail::warp_step_loop computes; its steps are the longest
+//     lane and its active lane-steps the sum of lane lengths;
+//   * the 3^n slot program of an origin cell (probe-slot bitset and the
+//     candidate range of each non-empty slot) is built once per kernel,
+//     i.e. per batch launch, in a thread-local cache keyed by origin
+//     cell, and replayed by every lane with that origin; the centre
+//     slot stays lane-specific (rank rule, self pair). R×S queries have
+//     no origin cell and build their programs per warp;
+//   * count-only mode adds popcount(hit mask) per 64 candidates; pair
+//     storage walks the mask's set bits into step-tagged emissions and
+//     writes them through a stable counting sort by step, so the stored
+//     pair stream stays step-major, lane-minor — byte-identical to the
+//     lockstep loop.
 // docs/SIMULATOR.md has the equivalence argument, docs/PERFORMANCE.md
 // the host-time effect.
 //
@@ -237,6 +246,13 @@ class SelfJoinKernel {
   bool unidirectional_ = false;
   bool rxs_ = false;
   std::uint32_t cost_dist_ = 0;
+  /// Step cost classes of run_warp (see header): cost per class, and
+  /// the classes ordered by descending cost.
+  std::array<std::uint32_t, 6> class_cost_{};
+  std::array<std::uint8_t, 6> class_order_{};
+  /// Process-unique id: keys run_warp's thread-local slot-program cache
+  /// to this kernel, so a later kernel never replays stale programs.
+  std::uint64_t id_ = 0;
   std::uint64_t atomics_ = 0;
   std::uint64_t emitted_ = 0;
 };

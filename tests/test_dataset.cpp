@@ -6,6 +6,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -51,6 +55,72 @@ TEST(Dataset, PermutedReordersPoints) {
 TEST(Dataset, DimsValidated) {
   EXPECT_THROW(Dataset(0), CheckError);
   EXPECT_THROW(Dataset(17), CheckError);
+}
+
+TEST(DatasetConcurrency, FreshDatasetCornersMatchSerialReadAcrossThreads) {
+  // The bbox cache is built by the first const reader; 8 concurrent
+  // first readers must publish it once and all see the serial values.
+  const Dataset reference = gen_exponential(20000, 3, 5);
+  const std::vector<double> lo = reference.min_corner();
+  const std::vector<double> hi = reference.max_corner();
+  for (int round = 0; round < 4; ++round) {
+    const Dataset fresh = gen_exponential(20000, 3, 5);
+    std::vector<std::vector<double>> mins(8);
+    std::vector<std::vector<double>> maxs(8);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        if (t % 2 == 0) {
+          mins[t] = fresh.min_corner();
+          maxs[t] = fresh.max_corner();
+        } else {
+          maxs[t] = fresh.max_corner();
+          mins[t] = fresh.min_corner();
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (std::size_t t = 0; t < 8; ++t) {
+      EXPECT_EQ(mins[t], lo) << "thread " << t;
+      EXPECT_EQ(maxs[t], hi) << "thread " << t;
+    }
+    // A copy taken after the concurrent reads carries the cache.
+    const Dataset copy = fresh;
+    EXPECT_EQ(copy.min_corner(), lo);
+    EXPECT_EQ(copy.max_corner(), hi);
+  }
+}
+
+TEST(Dataset, RejectsNonFiniteCoordinates) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    SCOPED_TRACE(v);
+    Dataset ds(3);
+    ds.push_back(std::vector<double>{1.0, 2.0, 3.0});
+    const std::uint64_t gen = ds.generation();
+    const auto expect_error = [&](auto&& op, const std::string& what) {
+      try {
+        op();
+        FAIL() << "expected CheckError";
+      } catch (const CheckError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+        EXPECT_NE(msg.find("non-finite"), std::string::npos) << msg;
+      }
+    };
+    expect_error([&] { ds.insert(std::vector<double>{0.0, v, 0.0}); },
+                 "dimension 1 of point 1");
+    expect_error([&] { ds.move_point(0, std::vector<double>{v, 0.0, 0.0}); },
+                 "dimension 0 of point 0");
+    expect_error([&] { ds.set_coord(0, 2, v); }, "dimension 2 of point 0");
+    // Nothing was applied.
+    EXPECT_EQ(ds.size(), 1u);
+    EXPECT_EQ(ds.generation(), gen);
+    EXPECT_EQ(ds.coord(0, 0), 1.0);
+    EXPECT_EQ(ds.coord(0, 2), 3.0);
+  }
 }
 
 TEST(Generators, UniformBoundsAndMean) {
@@ -229,6 +299,50 @@ TEST_F(IoTest, DimsCappedAtGridLimit) {
   EXPECT_THROW(load_binary(p), CheckError);
   write_header(p, Mutation::kCoordCap, 1, Mutation::kCoordCap);
   EXPECT_EQ(load_binary(p).dims(), Mutation::kCoordCap);
+}
+
+TEST_F(IoTest, BinaryRejectsNonFiniteCoordinates) {
+  const std::string p = path("gsj_io_test.bin");
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    SCOPED_TRACE(v);
+    // Two 2-D points, column-major: point 1 of dimension 1 is bad.
+    write_header(p, 2, 2, 0);
+    std::FILE* f = std::fopen(p.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const double cols[] = {0.5, 1.5, 2.5, v};
+    std::fwrite(cols, sizeof(double), 4, f);
+    std::fclose(f);
+    try {
+      (void)load_binary(p);
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("dimension 1 of point 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST_F(IoTest, CsvRejectsNonFiniteCoordinates) {
+  const std::string p = path("gsj_io_test.csv");
+  for (const char* v : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(v);
+    std::FILE* f = std::fopen(p.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "0.1,0.2\n0.3,0.4\n%s,0.5\n", v);
+    std::fclose(f);
+    try {
+      (void)load_csv(p, 2);
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("dimension 0 of point 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
