@@ -50,7 +50,7 @@ class RTree {
   [[nodiscard]] double total_margin() const;
 
  private:
-  static constexpr int kMaxBoxDims = 8;
+  static constexpr int kMaxBoxDims = kMaxDims;
 
   struct Box {
     std::array<double, kMaxBoxDims> lo{};

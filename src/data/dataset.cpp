@@ -26,7 +26,8 @@ std::uint64_t Dataset::next_uid() noexcept {
 }
 
 Dataset::Dataset(int dims) : dims_(dims), coords_(static_cast<std::size_t>(dims)) {
-  GSJ_CHECK_MSG(dims >= 1 && dims <= 16, "dims=" << dims);
+  GSJ_CHECK_MSG(dims >= 1 && dims <= kMaxDims,
+                "dims=" << dims << " outside 1.." << kMaxDims);
 }
 
 Dataset::Dataset(int dims, std::size_t n) : Dataset(dims) {
@@ -72,7 +73,6 @@ void Dataset::copy_bbox(const Dataset& other) {
 }
 
 void Dataset::log_mutation(Mutation m) {
-  if (!logging()) return;
   log_.push_back(m);
   // Amortized trim: keep at least the kLogWindow most recent entries,
   // dropping the oldest half once the log doubles past the window.
@@ -94,7 +94,6 @@ void Dataset::capture(std::size_t i,
 std::optional<std::span<const Mutation>> Dataset::mutations_since(
     std::uint64_t gen) const {
   if (gen == generation_) return std::span<const Mutation>{};
-  if (!logging()) return std::nullopt;
   if (gen < log_base_gen_ || gen > generation_) return std::nullopt;
   const std::size_t first = static_cast<std::size_t>(gen - log_base_gen_);
   // Entries beyond the log (a generation bump without a log record)
@@ -160,10 +159,8 @@ PointId Dataset::insert(std::span<const double> p) {
   Mutation m;
   m.kind = Mutation::Kind::Insert;
   m.id = id;
-  if (logging()) {
-    for (int d = 0; d < dims_; ++d) {
-      m.new_coords[static_cast<std::size_t>(d)] = p[static_cast<std::size_t>(d)];
-    }
+  for (int d = 0; d < dims_; ++d) {
+    m.new_coords[static_cast<std::size_t>(d)] = p[static_cast<std::size_t>(d)];
   }
   log_mutation(m);
   return id;
@@ -175,7 +172,7 @@ void Dataset::erase(PointId i) {
   Mutation m;
   m.kind = Mutation::Kind::Erase;
   m.id = i;
-  if (logging()) capture(i, m.old_coords);
+  capture(i, m.old_coords);
   std::vector<double> old(static_cast<std::size_t>(dims_));
   for (int d = 0; d < dims_; ++d) {
     old[static_cast<std::size_t>(d)] = coord(i, d);
@@ -209,7 +206,7 @@ void Dataset::move_point(PointId i, std::span<const double> p) {
   Mutation m;
   m.kind = Mutation::Kind::Move;
   m.id = i;
-  if (logging()) capture(i, m.old_coords);
+  capture(i, m.old_coords);
   std::vector<double> old(static_cast<std::size_t>(dims_));
   for (int d = 0; d < dims_; ++d) {
     old[static_cast<std::size_t>(d)] = coord(i, d);
@@ -218,10 +215,8 @@ void Dataset::move_point(PointId i, std::span<const double> p) {
   ++generation_;
   bbox_mark_removed(old);
   bbox_extend(p);
-  if (logging()) {
-    for (int d = 0; d < dims_; ++d) {
-      m.new_coords[static_cast<std::size_t>(d)] = p[static_cast<std::size_t>(d)];
-    }
+  for (int d = 0; d < dims_; ++d) {
+    m.new_coords[static_cast<std::size_t>(d)] = p[static_cast<std::size_t>(d)];
   }
   log_mutation(m);
 }

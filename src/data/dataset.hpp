@@ -43,15 +43,16 @@ using PointId = std::uint32_t;
 inline constexpr PointId kInvalidPointId =
     std::numeric_limits<PointId>::max();
 
+/// The one dimensionality limit: datasets, file loaders, the grid
+/// index, the churn log and the R-tree baseline all stop here (the
+/// paper evaluates 2..6).
+inline constexpr int kMaxDims = 8;
+
 /// One entry of the dataset's dirty log. Coordinates are stored inline
 /// (first dims() entries of the arrays are meaningful) so the log never
-/// allocates per mutation; datasets wider than kCoordCap dimensions are
-/// not logged (their consumers always rebuild).
+/// allocates per mutation.
 struct Mutation {
-  /// Widest dimensionality the log records coordinates for. Matches
-  /// the grid index's kMaxDims — wider datasets cannot be grid-joined
-  /// anyway.
-  static constexpr int kCoordCap = 8;
+  static constexpr int kCoordCap = kMaxDims;
 
   enum class Kind : std::uint8_t {
     Insert,  ///< new point appended at `id` (== previous size())
@@ -82,7 +83,8 @@ class Dataset {
  public:
   Dataset() = default;
 
-  /// Creates an empty dataset of `dims` dimensions (1..16 supported).
+  /// Creates an empty dataset of `dims` dimensions (1..kMaxDims supported;
+  /// CheckError otherwise).
   explicit Dataset(int dims);
 
   /// Creates a dataset of `n` zero points in `dims` dimensions.
@@ -178,8 +180,8 @@ class Dataset {
   /// mutations that transformed the dataset from generation `gen` to
   /// generation(). Empty span when gen == generation(). nullopt when
   /// the window is no longer available (gen predates the bounded log,
-  /// gen is in the future, or dims() > Mutation::kCoordCap) — the
-  /// caller must fall back to a full rebuild. The view is invalidated
+  /// or gen is in the future) — the caller must fall back to a full
+  /// rebuild. The view is invalidated
   /// by the next mutation.
   [[nodiscard]] std::optional<std::span<const Mutation>> mutations_since(
       std::uint64_t gen) const;
@@ -208,9 +210,6 @@ class Dataset {
  private:
   [[nodiscard]] static std::uint64_t next_uid() noexcept;
   void log_mutation(Mutation m);
-  [[nodiscard]] bool logging() const noexcept {
-    return dims_ <= Mutation::kCoordCap;
-  }
   /// Copies point `i`'s coordinates into a log-entry array.
   void capture(std::size_t i, std::array<double, Mutation::kCoordCap>& out)
       const noexcept;

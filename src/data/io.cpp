@@ -54,10 +54,7 @@ Dataset load_binary(const std::string& path) {
   GSJ_CHECK_MSG(version == kVersion, "unsupported version " << version);
   const auto dims = read_pod<std::uint32_t>(f);
   const auto n = read_pod<std::uint64_t>(f);
-  // One dims limit everywhere: the grid index and the churn log both
-  // stop at Mutation::kCoordCap.
-  GSJ_CHECK_MSG(dims >= 1 && dims <= static_cast<std::uint32_t>(
-                                        Mutation::kCoordCap),
+  GSJ_CHECK_MSG(dims >= 1 && dims <= static_cast<std::uint32_t>(kMaxDims),
                 "bad dims " << dims);
   // Size the payload from the file before allocating it: a corrupt
   // header must not turn into a huge allocation.

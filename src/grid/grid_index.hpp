@@ -29,9 +29,6 @@ namespace gsj {
 
 class ThreadPool;
 
-/// Maximum indexable dimensionality (paper evaluates 2..6).
-inline constexpr int kMaxDims = 8;
-
 /// Multidimensional cell coordinates (only the first dims() entries of
 /// `c` are meaningful).
 struct CellCoords {

@@ -103,7 +103,8 @@ struct RequestBreakdown {
 };
 
 /// Request-scoped observability bundle threaded through the pipeline
-/// (PlanSource::request_obs() -> plan_and_execute -> ExecutionInputs).
+/// (ServicePlanSource::request_obs() -> plan_and_execute ->
+/// ExecutionInputs).
 /// Null members degrade gracefully; ctx.request_id == 0 means "not a
 /// tracked request" and suppresses request-span emission entirely, so
 /// direct engine runs stay byte-identical to their pre-request-span

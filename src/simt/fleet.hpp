@@ -47,7 +47,7 @@ struct FleetConfig {
   /// Optional per-device overrides; empty = homogeneous copies of the
   /// run's base device config. When non-empty, size must equal
   /// num_devices. Host-execution knobs are taken from the base config
-  /// regardless (the host pool is shared; see sj/pipeline.hpp).
+  /// regardless (the host pool is shared; see sj/pipeline.cpp).
   std::vector<DeviceConfig> devices;
   /// Grains per device under adaptive scheduling: more grains = finer
   /// rebalancing at more per-grain overhead. The static baseline always

@@ -234,14 +234,25 @@ BatchPlan plan_queue(const GridIndex& grid, const BatchingConfig& cfg,
   const double est_per_point =
       static_cast<double>(plan.estimated_total_pairs) /
       static_cast<double>(n) * cfg.safety;
-  const auto budget = static_cast<double>(cfg.buffer_pairs);
+  plan.queue_ranges =
+      cut_queue_chunks(queue_order, workloads, est_per_point, cfg.buffer_pairs);
+  plan.num_batches = plan.queue_ranges.size();
+  return plan;
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> cut_queue_chunks(
+    std::span<const PointId> queue, std::span<const std::uint64_t> workloads,
+    double est_per_point, std::uint64_t buffer_pairs) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+  const auto budget = static_cast<double>(buffer_pairs);
+  const std::size_t n = queue.size();
   std::size_t begin = 0;
   while (begin < n) {
     std::uint64_t bound_sum = 0;
     double est_sum = 0.0;
     std::size_t end = begin;
     while (end < n) {
-      const std::uint64_t b = 2 * workloads[queue_order[end]] + 1;
+      const std::uint64_t b = 2 * workloads[queue[end]] + 1;
       if (end > begin && (static_cast<double>(bound_sum + b) > budget ||
                           est_sum + est_per_point > budget)) {
         break;
@@ -250,11 +261,10 @@ BatchPlan plan_queue(const GridIndex& grid, const BatchingConfig& cfg,
       est_sum += est_per_point;
       ++end;
     }
-    plan.queue_ranges.emplace_back(begin, end);
+    ranges.emplace_back(begin, end);
     begin = end;
   }
-  plan.num_batches = plan.queue_ranges.size();
-  return plan;
+  return ranges;
 }
 
 double transfer_seconds(std::uint64_t pairs, const BatchingConfig& cfg) {

@@ -170,6 +170,17 @@ struct BatchPlan {
     std::optional<std::uint64_t> precomputed_estimate = std::nullopt,
     const Dataset* probe = nullptr);
 
+/// plan_queue's greedy chunk cutter over one queue slice: contiguous
+/// [begin, end) ranges over `queue`, each closed before either budget
+/// would pass `buffer_pairs` — the summed hard bound 2*workload+1 of its
+/// points, or `est_per_point` per point (the caller's scaled estimate).
+/// A chunk always takes at least one point. The fleet driver cuts each
+/// grain's queue with it, passing a grain-scaled estimate.
+[[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
+cut_queue_chunks(std::span<const PointId> queue,
+                 std::span<const std::uint64_t> workloads,
+                 double est_per_point, std::uint64_t buffer_pairs);
+
 /// Completion time of the batched pipeline: kernels serialize on the
 /// device; each batch's result transfer serializes on the PCIe engine
 /// and on its stream (batch b runs on stream b % nstreams, and a

@@ -1,90 +1,54 @@
-// JoinEngine: session-scoped execution layer with plan caching and
-// scratch-buffer reuse.
+// JoinEngine: the single-threaded session API over the artifact store.
 //
 // The one-shot self_join(ds, cfg) rebuilds every plan artifact — the
 // epsilon grid, per-point workloads, the workload-sorted order D', the
-// result-size estimate — and re-allocates every working buffer on each
-// call. Parameter sweeps (multi-epsilon, multi-variant — the paper's
-// Tables IV–VI and every figure bench) repeat that host-side work N
-// times even though most artifacts only depend on (dataset, epsilon)
-// or (dataset, epsilon, pattern), not on the variant being measured.
-//
-// JoinEngine factors the join into three stages:
+// result-size estimate — on each call. Parameter sweeps (multi-epsilon,
+// multi-variant — the paper's Tables IV–VI and every figure bench)
+// repeat that host-side work even though most artifacts depend only on
+// (dataset, epsilon) or (dataset, epsilon, pattern).
 //
 //   prepare(ds)        -> PreparedDataset   dataset admission
-//   [plan]  (internal)                      cache-served artifact resolution
-//   run(prepared, cfg) -> SelfJoinOutput    batched execution (sj/execute.hpp)
+//   run(prepared, cfg) -> SelfJoinOutput    cache-served plan + batched
+//                                           execution
+//   delta_join(...)    -> PairDelta         churn delta through the cache
 //
-// PreparedDataset carries a keyed LRU cache of plan artifacts:
-//
-//   GridIndex            keyed by epsilon (bit pattern)
-//   workloads + D' order keyed by (GridIndex::content_key, pattern)
-//   result-size estimate keyed on top by (sample_fraction, skew) bits
-//
-// When the Dataset's generation counter (data/dataset.hpp) no longer
-// matches the one captured at the last sync, the caches are not
-// dropped wholesale: each cached GridIndex is repaired cell-granularly
-// from the dataset's mutation log (GridIndex::repair) and the
-// dependent workload/D' plans are patched for the affected cells only
-// (grid/workload.hpp patch_workloads) — both bit-identical to a
-// rebuild, which is what keeps warm runs equal to cold runs under
-// churn. Cached result-size estimates are always dropped on churn (a
-// cold run would re-derive them from the changed data). Only when the
-// mutation window is unavailable — too much churn, a bulk load, a
-// grid-shape change — do the caches fall back to the old drop-
-// everything behaviour. Grid and plan caches are bounded
-// (EngineConfig) with least-recently-used eviction.
+// JoinEngine is a facade: it owns a private JoinService (sj/service.hpp)
+// configured from EngineConfig, a PreparedDataset holds that service's
+// SharedDataset, and run/self_join/recycle/delta_join forward to the
+// service. There is one artifact cache and one churn-repair path
+// (JoinService::sync_shared), so an engine run and a service run of the
+// same request are the same code — see docs/SERVICE.md for the cache
+// keys, LRU bounds and clone-and-repair under churn, and docs/ENGINE.md
+// for this API.
 //
 // Correctness bar: a cache-served run is bit-identical to a cold run —
 // same result pairs, same SelfJoinStats, and byte-identical logical
-// traces — for every variant, sequentially and at any host thread
-// count. The per-run observability channel (SelfJoinConfig::tracer /
-// ::metrics) sees the exact same span sequence and counters on a hit
-// as on a miss; the *engine's* own channel (EngineConfig::obs) carries
-// the cache story: "prepare" / "plan_reuse" spans and the sj.cache.*
-// hit/miss/evict counters.
+// traces — for every variant, at any host thread count. The per-run
+// channel (SelfJoinConfig::tracer / ::metrics) sees the same spans and
+// counters on a hit as on a miss; the engine's own channel
+// (EngineConfig::obs) carries the cache story.
 //
-// The engine also owns the host ThreadPool(s) — configs that ask for
-// host threads without supplying a pool get a cached, engine-owned one
-// instead of a per-call spawn/join cycle — and a scratch arena whose
-// buffers (result pairs, per-batch stats, slot accounting) persist
-// across run() calls; recycle(std::move(output)) returns a consumed
-// output's allocations to the arena.
-//
-// Thread safety: a JoinEngine and its PreparedDatasets are
-// single-threaded by design — one owner thread at a time. Concurrent
-// callers belong on JoinService (sj/service.hpp), which shares these
-// same caches behind a reader/writer lock with single-flight builds;
-// the free self_join wrapper routes through the process-wide service,
-// so it no longer keeps a thread_local engine per caller thread.
-// Observability sinks remain internally locked as before.
-//
-// See docs/ENGINE.md for the cache-key derivation, the invalidation
-// rules and measured reuse wins, and docs/SERVICE.md for the
-// concurrent layer on top.
+// Thread safety: a JoinEngine and its PreparedDatasets are meant for
+// one owner thread at a time (the store underneath is locked, so
+// uncontended locks are all it costs). Concurrent callers belong on
+// JoinService directly.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
-#include <utility>
-#include <vector>
 
 #include "obs/context.hpp"
 #include "sj/delta.hpp"
 #include "sj/selfjoin.hpp"
+#include "sj/service.hpp"
 
 namespace gsj {
 
 class ThreadPool;
 
-namespace detail {
-struct ScratchArena;     // sj/execute.hpp
-class EnginePlanSource;  // sj/engine.cpp (PlanSource over these caches)
-}  // namespace detail
-
+/// Maps onto the private service's ServiceConfig field by field.
 struct EngineConfig {
   /// Bound on cached GridIndex instances per PreparedDataset (one per
   /// distinct epsilon); least-recently-used beyond it. Clamped to >= 1.
@@ -99,17 +63,19 @@ struct EngineConfig {
   // ObsContext value can be handed to a ServiceConfig, so an engine and
   // a service share one registry by construction (obs/context.hpp). ---
   /// obs.tracer receives "prepare" spans and a "plan_reuse" span per
-  /// cache-served run; obs.metrics receives the "sj.cache.*" counters:
-  /// aggregate hits/misses plus per-artifact grid/workload/order/
-  /// estimate breakdowns, evictions, invalidations.
+  /// cache-served run; obs.metrics receives the "sj.cache.*" counters
+  /// (aggregate and per-artifact hits/misses, evictions,
+  /// invalidations), the "sj.incr.*" churn-repair and delta counters,
+  /// and the "svc.fleet.*" family for fleet runs. obs.recorder, when
+  /// set, replaces the private service's flight recorder.
   obs::ObsContext obs;
 };
 
 class JoinEngine;
 
-/// A dataset admitted to an engine, carrying the plan-artifact caches.
-/// Holds a reference to the Dataset — it must outlive this object.
-/// Move-only; create via JoinEngine::prepare.
+/// A dataset admitted to an engine: a handle on its SharedDataset in
+/// the engine's store. Holds a reference to the Dataset — it must
+/// outlive this object. Move-only; create via JoinEngine::prepare.
 class PreparedDataset {
  public:
   PreparedDataset(PreparedDataset&&) noexcept = default;
@@ -117,63 +83,28 @@ class PreparedDataset {
   PreparedDataset(const PreparedDataset&) = delete;
   PreparedDataset& operator=(const PreparedDataset&) = delete;
 
-  [[nodiscard]] const Dataset& dataset() const noexcept { return *ds_; }
+  [[nodiscard]] const Dataset& dataset() const noexcept {
+    return sd_->dataset();
+  }
   /// Dataset generation captured at the last cache sync; a mismatch
-  /// with dataset().generation() means the caches are stale and will be
-  /// dropped on the next run.
+  /// with dataset().generation() means the caches are repaired on the
+  /// next run or delta_join.
   [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
+    return sd_->generation();
   }
   [[nodiscard]] std::size_t cached_grid_count() const noexcept {
-    return grids_.size();
+    return sd_->cached_grid_count();
   }
   [[nodiscard]] std::size_t cached_plan_count() const noexcept {
-    return plans_.size();
+    return sd_->cached_plan_count();
   }
 
  private:
   friend class JoinEngine;
-  friend class detail::EnginePlanSource;
-  explicit PreparedDataset(const Dataset& ds)
-      : ds_(&ds), generation_(ds.generation()) {}
+  explicit PreparedDataset(std::shared_ptr<SharedDataset> sd)
+      : sd_(std::move(sd)) {}
 
-  /// Estimates keyed by (sample_fraction bits, inject_estimator_skew
-  /// bits, probe signature) — detail::EstimateKey (sj/pipeline.hpp).
-  /// Skew is part of the key so fault-injection runs never collide
-  /// with honest ones; the probe signature (0 for Self) keeps R×S
-  /// estimates of different probe datasets/generations apart.
-  using EstimateMap =
-      std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-               std::uint64_t>;
-
-  struct GridEntry {
-    std::uint64_t eps_bits = 0;
-    std::unique_ptr<GridIndex> grid;
-    /// Strided estimates depend only on the grid (not the pattern), so
-    /// they live here rather than on a PlanEntry.
-    EstimateMap strided_estimates;
-    std::uint64_t last_used = 0;
-  };
-
-  struct PlanEntry {
-    std::uint64_t grid_key = 0;  ///< GridIndex::content_key()
-    CellPattern pattern = CellPattern::Full;
-    /// detail::probe_signature of the request that built this entry:
-    /// 0 for Self plans (workloads index the gridded dataset), a
-    /// probe-identity hash for R×S plans (workloads/D' index the probe
-    /// dataset). Part of the match key so the two never alias.
-    std::uint64_t probe_sig = 0;
-    std::vector<std::uint64_t> workloads;   ///< point_workloads
-    std::vector<PointId> queue_order;       ///< D'; filled on first WQ use
-    EstimateMap queue_estimates;            ///< first-1% (max strided)
-    std::uint64_t last_used = 0;
-  };
-
-  const Dataset* ds_;
-  std::uint64_t generation_;
-  std::uint64_t tick_ = 0;  ///< LRU clock
-  std::vector<GridEntry> grids_;
-  std::vector<PlanEntry> plans_;
+  std::shared_ptr<SharedDataset> sd_;
 };
 
 class JoinEngine {
@@ -183,8 +114,9 @@ class JoinEngine {
   JoinEngine(const JoinEngine&) = delete;
   JoinEngine& operator=(const JoinEngine&) = delete;
 
-  /// Admits a dataset: captures its generation and returns an empty
-  /// cache shell; artifacts are built (and cached) lazily by run().
+  /// Admits a dataset: attaches it to the engine's store and returns
+  /// an empty cache shell; artifacts are built (and cached) lazily by
+  /// run().
   /// The dataset must outlive the returned PreparedDataset.
   [[nodiscard]] PreparedDataset prepare(const Dataset& ds);
 
@@ -196,54 +128,36 @@ class JoinEngine {
                                    const SelfJoinConfig& cfg);
 
   /// One-shot convenience: prepare + run on a fresh PreparedDataset.
-  /// No plan caching across calls, but the engine's pools and scratch
-  /// arena are still reused.
+  /// No plan caching across calls, but the store's pooled host pools
+  /// and scratch arenas are still reused.
   [[nodiscard]] SelfJoinOutput self_join(const Dataset& ds,
                                          const SelfJoinConfig& cfg);
 
-  /// Streaming delta join (docs/STREAMING.md): the exact gained/lost
-  /// ordered-pair sets of the `epsilon` self-join across the mutation
-  /// window [from_generation, now], computed by re-joining only the
-  /// churn's ε-neighborhood. Serves the grid from (and repairs) the
-  /// same cache run() uses. Returns nullopt when the window is not
-  /// available — the dataset's bounded log no longer covers
-  /// from_generation, a bulk load intervened, or the dataset is empty
-  /// — in which case the caller must fall back to a full join.
+  /// Streaming delta join (docs/STREAMING.md): JoinService::delta_join
+  /// on the prepared dataset — the exact gained/lost ordered-pair sets
+  /// of the `epsilon` self-join across [from_generation, now], or
+  /// nullopt when the mutation window is unavailable (the caller then
+  /// falls back to a full join).
   [[nodiscard]] std::optional<PairDelta> delta_join(
       PreparedDataset& prep, double epsilon, std::uint64_t from_generation);
 
   /// Reclaims a consumed output's allocations (pair buffer, batch
-  /// stats, slot vectors) into the scratch arena for the next run.
+  /// stats, slot vectors) into the store's idle scratch arena.
   void recycle(SelfJoinOutput&& out);
 
-  /// The engine-owned host pool with `num_threads` workers, created on
-  /// first use and cached for the engine's lifetime (the fix for
-  /// per-call ThreadPool churn). Requires num_threads > 0.
+  /// An engine-owned host pool with `num_threads` workers, created on
+  /// first use and cached for the engine's lifetime, for callers that
+  /// pass an explicit pool (DeviceConfig::host.pool). Runs that ask for
+  /// threads without one lease a pooled one from the store.
+  /// Requires num_threads > 0.
   [[nodiscard]] ThreadPool* pool(int num_threads);
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
 
  private:
-  friend class detail::EnginePlanSource;
-  /// Brings caches up to date when the dataset generation moved:
-  /// repairs grids and patches plans in place, dropping only what
-  /// cannot be repaired (see the invalidation notes above).
-  void sync_generation(PreparedDataset& prep);
-  [[nodiscard]] PreparedDataset::GridEntry& grid_for(PreparedDataset& prep,
-                                                     double epsilon,
-                                                     ThreadPool* pool,
-                                                     bool* hit);
-  [[nodiscard]] PreparedDataset::PlanEntry& plan_entry(PreparedDataset& prep,
-                                                       const GridIndex& grid,
-                                                       CellPattern pattern,
-                                                       std::uint64_t probe_sig);
-  /// Counts one cache event on the aggregate and per-artifact counters
-  /// (no-op without an engine metrics registry).
-  void count_cache(const char* artifact, bool hit);
-
   EngineConfig cfg_;
+  JoinService svc_;
   std::map<int, std::unique_ptr<ThreadPool>> pools_;
-  std::unique_ptr<detail::ScratchArena> scratch_;
 };
 
 }  // namespace gsj

@@ -1,21 +1,24 @@
-// Execution stage of the self-join pipeline (internal).
+// Execution stage of the join pipeline (internal).
 //
-// JoinEngine::run (sj/engine.hpp) splits the former monolithic
-// self_join into three stages: *prepare* (dataset admission), *plan*
-// (grid / workload / batch-plan resolution, cache-served when warm) and
-// *execute* — this file. The execution stage takes a fully resolved
-// plan and drives the batched kernel launches: per-batch capacity
-// windows, overflow rollback + LIFO split recovery, per-warp
-// observability commits, stats finalization and metrics publication.
+// The pipeline (sj/pipeline.cpp) resolves a plan from the dataset's
+// artifact store and hands it here. Two drivers run the batched kernel
+// launches — execute_self_join on one device, execute_fleet across a
+// modeled device fleet — and both run each batch through one shared
+// lifecycle in execute.cpp: capacity window, launch with the overflow/
+// cancel abort hook, rollback or commit, LIFO split-retry, and one
+// sj.* metrics block. The drivers differ only in how batches are cut
+// and where they are accounted: the fleet tags BatchStats with the
+// device, keeps one modeled timeline per device and reports device-
+// level stats; the single device keeps per-slot accounting and the
+// per-run tracer's warp and batch events.
 //
-// ScratchArena is the engine's reusable working memory: every vector
-// the execution stage needs per run (per-batch timing, warp-cycle
-// collection, slot accounting, buffered warp records) plus spare
-// storage reclaimed by JoinEngine::recycle (the result-pair buffer,
-// batch-stats and slot vectors of a consumed output). Reusing the
-// arena across queries removes the per-call allocation churn of the
-// one-shot path; it never changes observable behaviour — a fresh arena
-// and a warm one produce bit-identical outputs.
+// ScratchArena is the reusable working memory of one run: every vector
+// the execution stage needs (per-batch timing, warp-cycle collection,
+// slot accounting, buffered warp records) plus spare storage reclaimed
+// by JoinService::recycle / JoinEngine::recycle (the result-pair
+// buffer, batch-stats and slot vectors of a consumed output). Arenas
+// are pooled by the service; a fresh arena and a warm one produce
+// bit-identical outputs.
 #pragma once
 
 #include <atomic>
@@ -45,8 +48,9 @@ struct ScratchArena {
 /// Everything the execution stage needs, resolved by the plan stage.
 struct ExecutionInputs {
   const GridIndex* grid = nullptr;
-  /// Consumed: the strided driver moves the batch point lists out.
-  BatchPlan* plan = nullptr;
+  /// The resolved plan. The fleet driver reads only its estimate and
+  /// cuts its own per-grain batches.
+  const BatchPlan* plan = nullptr;
   /// R×S probe dataset (JoinMode::RxS): batch/queue point ids index it
   /// instead of the gridded dataset, and the kernels run in probing
   /// mode (sj/kernels.hpp). nullptr for the self-join.
@@ -63,15 +67,11 @@ struct ExecutionInputs {
   /// partial output is discarded by the caller.
   const std::atomic<bool>* cancel = nullptr;
 
-  // --- fleet path only (sj/pipeline.hpp fleet branch) ---
+  // --- fleet path only (sj/pipeline.cpp fleet branch) ---
   /// Per-point workloads under cfg.pattern (grid/workload.hpp): grain
   /// weights for the partitioner and the 2w+1 chunk bounds of the
   /// work-queue driver. Empty on the single-device path.
   std::span<const std::uint64_t> point_workloads;
-  /// Whole-join result-size estimate (the shared estimate cache's
-  /// value); execute_fleet scales it by grain workload share to size
-  /// per-grain chunks.
-  std::uint64_t estimated_total_pairs = 0;
 
   // --- request-scoped channel (JoinService::submit path) ---
   /// Service-channel tracer for per-launch request spans ("batch N",
@@ -89,7 +89,7 @@ struct ExecutionInputs {
 /// `out` (whose ResultSet is already constructed in the right storage
 /// mode; stats.host_prep_seconds / estimated_total_pairs are set by the
 /// caller). Throws OverflowError exactly as the public API documents.
-void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
+void execute_self_join(const SelfJoinConfig& cfg, const ExecutionInputs& in,
                        ScratchArena& arena, SelfJoinOutput& out);
 
 /// Fleet execution (docs/SIMULATOR.md §fleet): shards the grid into
@@ -97,15 +97,16 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
 /// cfg.fleet.num_devices modeled devices with the LPT/measured-rate
 /// rebalancer (simt/fleet.hpp), and runs each grain's batches with the
 /// same capacity/overflow/cancellation discipline as the single-device
-/// driver. The merged ResultSet is bit-identical to a single-device run
+/// driver (the same batch runner). The merged ResultSet is
+/// bit-identical to a single-device run
 /// (canonical order when store_pairs; counts add otherwise); per-device
 /// makespan/CoV/tail-idle land in out.stats.fleet and the sj.fleet.*
 /// metric family. Per-warp dispersion is still collected fleet-wide;
 /// per-slot vectors and tracer device events are not (device-level
 /// accounting supersedes them at this scale). Requires
-/// in.point_workloads and in.estimated_total_pairs from the fleet plan
-/// branch.
-void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
+/// in.point_workloads and the plan's whole-join estimate from the fleet
+/// plan branch.
+void execute_fleet(const SelfJoinConfig& cfg, const ExecutionInputs& in,
                    ScratchArena& arena, SelfJoinOutput& out);
 
 /// ε-subsumption filter (docs/SERVICE.md result-serving layer): keeps

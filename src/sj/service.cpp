@@ -190,6 +190,11 @@ bool churn_misses_result(const Dataset& ds, const GridIndex& grid,
 
 }  // namespace
 
+std::uint64_t SharedDataset::generation() const {
+  std::shared_lock lk(mu_);
+  return generation_;
+}
+
 std::size_t SharedDataset::cached_grid_count() const {
   std::shared_lock lk(mu_);
   return grids_.size();
@@ -202,16 +207,12 @@ std::size_t SharedDataset::cached_plan_count() const {
 
 std::size_t SharedDataset::cached_artifact_bytes() const {
   std::shared_lock lk(mu_);
-  const auto ready = [](const auto& fut) {
-    return fut.valid() &&
-           fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  };
   std::size_t bytes = 0;
   // get() on a ready future can still rethrow a build failure in the
   // narrow window before the builder rolls its slot back; such slots
   // simply count 0.
   for (const auto& g : grids_) {
-    if (!ready(g->grid)) continue;
+    if (!future_ready(g->grid)) continue;
     try {
       if (const GridPtr& p = g->grid.get(); p != nullptr) {
         bytes += p->memory_bytes();
@@ -220,7 +221,7 @@ std::size_t SharedDataset::cached_artifact_bytes() const {
     }
   }
   for (const auto& pl : plans_) {
-    if (ready(pl->workloads)) {
+    if (future_ready(pl->workloads)) {
       try {
         if (const WorkloadsPtr& w = pl->workloads.get(); w != nullptr) {
           bytes += w->capacity() * sizeof(std::uint64_t);
@@ -228,7 +229,7 @@ std::size_t SharedDataset::cached_artifact_bytes() const {
       } catch (...) {
       }
     }
-    if (ready(pl->order)) {
+    if (future_ready(pl->order)) {
       try {
         if (const OrderPtr& o = pl->order.get(); o != nullptr) {
           bytes += o->capacity() * sizeof(PointId);
@@ -268,330 +269,12 @@ std::size_t SharedDataset::result_cache_bytes() const {
   return result_bytes_;
 }
 
-namespace detail {
-
-/// PlanSource (sj/pipeline.hpp) over a SharedDataset's reader/writer-
-/// locked caches. Discipline:
-///
-///  * hits take the shared lock only (scan, bump the atomic LRU tick,
-///    copy the slot's shared_future) — concurrent hits never serialize;
-///  * misses double-check under the exclusive lock, install a
-///    promise-backed future (single-flight), then build *outside* any
-///    lock and publish through the promise; waiters block on their
-///    future copy, also outside the lock;
-///  * every resolved slot/artifact is pinned by a shared_ptr member for
-///    the run's duration, so concurrent LRU eviction can drop a slot
-///    from the cache vectors without invalidating anything this run
-///    still references (the pipeline's artifact-lifetime contract);
-///  * a builder that throws publishes the exception to its waiters and
-///    rolls the slot back so later requests rebuild.
-///
-/// The builder counts the miss; waiters and fast-path readers count
-/// hits (a waiter is served from the cache — it just arrives early).
-class ServicePlanSource {
- public:
-  /// `cfg` makes the source mode-aware: for R×S requests, workloads/D'
-  /// resolve against the probe dataset and plan slots are keyed by
-  /// probe_signature. Null `cfg` (delta polls) behaves as Self.
-  ServicePlanSource(JoinService& svc, SharedDataset& sd,
-                    const SelfJoinConfig* cfg,
-                    obs::RequestObs* robs = nullptr)
-      : svc_(svc),
-        sd_(sd),
-        probe_(cfg != nullptr && cfg->mode == JoinMode::RxS ? cfg->probe
-                                                            : nullptr),
-        probe_sig_(cfg != nullptr ? probe_signature(*cfg) : 0),
-        robs_(robs) {}
-
-  ~ServicePlanSource() {
-    if (pool_ != nullptr) svc_.return_pool(pool_threads_, std::move(pool_));
-  }
-
-  void sync() { svc_.sync_shared(sd_); }
-
-  ThreadPool* pool(int n) {
-    if (pool_ == nullptr) {
-      pool_threads_ = n;
-      pool_ = svc_.checkout_pool(n);
-    }
-    return pool_.get();
-  }
-
-  obs::Tracer* channel_tracer() { return svc_.config().obs.tracer; }
-
-  obs::RequestObs* request_obs() { return robs_; }
-
-  void resolve_grid(double eps, ThreadPool* p, bool* hit) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(eps);
-    std::shared_future<SharedDataset::GridPtr> fut;
-    std::promise<SharedDataset::GridPtr> prom;
-    bool builder = false;
-    {
-      std::shared_lock lk(sd_.mu_);
-      if (auto* s = find_grid_locked(bits)) {
-        gslot_ = shared_of(sd_.grids_, s);
-        fut = s->grid;
-      }
-    }
-    if (!fut.valid()) {
-      std::unique_lock lk(sd_.mu_);
-      if (auto* s = find_grid_locked(bits)) {
-        gslot_ = shared_of(sd_.grids_, s);
-        fut = s->grid;
-      } else {
-        builder = true;
-        fut = prom.get_future().share();
-        auto slot = std::make_shared<SharedDataset::GridSlot>();
-        slot->eps_bits = bits;
-        slot->grid = fut;
-        slot->last_used.store(next_tick(), std::memory_order_relaxed);
-        gslot_ = slot;
-        sd_.grids_.push_back(std::move(slot));
-        evict_lru_locked(sd_.grids_, sd_.max_grids_);
-      }
-    }
-    cache_event("grid", !builder);
-    if (builder) {
-      try {
-        prom.set_value(std::make_shared<const GridIndex>(sd_.dataset(), eps, p));
-      } catch (...) {
-        prom.set_exception(std::current_exception());
-        std::unique_lock lk(sd_.mu_);
-        std::erase(sd_.grids_, gslot_);
-        throw;
-      }
-    }
-    grid_ = fut.get();  // waits outside any lock; rethrows build failures
-    *hit = !builder;
-  }
-
-  [[nodiscard]] const GridIndex& grid() const { return *grid_; }
-
-  std::span<const std::uint64_t> resolve_workloads(CellPattern pattern,
-                                                   ThreadPool* p) {
-    ensure_plan_slot(pattern);
-    workloads_ = resolve_in_slot<SharedDataset::WorkloadsPtr>(
-        "workload", [&](SharedDataset::PlanSlot& s) { return &s.workloads; },
-        [&] {
-          return std::make_shared<const std::vector<std::uint64_t>>(
-              probe_ != nullptr ? probe_point_workloads(*grid_, *probe_, p)
-                                : point_workloads(*grid_, pattern, p));
-        });
-    return *workloads_;
-  }
-
-  std::span<const PointId> resolve_order(CellPattern pattern, ThreadPool* p) {
-    ensure_plan_slot(pattern);
-    order_ = resolve_in_slot<SharedDataset::OrderPtr>(
-        "order", [&](SharedDataset::PlanSlot& s) { return &s.order; },
-        [&] {
-          // The pipeline resolves workloads before the order, so
-          // workloads_ is pinned by the time a builder runs. R×S
-          // orders rank probe ids (the workloads already index them).
-          std::vector<PointId> order(probe_ != nullptr
-                                         ? probe_->size()
-                                         : sd_.dataset().size());
-          std::iota(order.begin(), order.end(), PointId{0});
-          parallel_stable_sort(
-              order,
-              [&pw = *workloads_](PointId a, PointId b) {
-                return pw[a] > pw[b];
-              },
-              p);
-          return std::make_shared<const std::vector<PointId>>(
-              std::move(order));
-        });
-    return *order_;
-  }
-
-  std::optional<std::uint64_t> find_estimate(bool queue,
-                                             detail::EstimateKey key) {
-    auto [mu, map] = estimate_map(queue);
-    std::lock_guard lk(*mu);
-    if (const auto it = map->find(key); it != map->end()) {
-      cache_event("estimate", true);
-      return it->second;
-    }
-    cache_event("estimate", false);
-    return std::nullopt;
-  }
-
-  void put_estimate(bool queue, detail::EstimateKey key, std::uint64_t value) {
-    auto [mu, map] = estimate_map(queue);
-    std::lock_guard lk(*mu);
-    // emplace = first-wins: concurrent runs compute the same pure
-    // function of (grid, config), so whichever lands is the value.
-    map->emplace(key, value);
-  }
-
- private:
-  [[nodiscard]] std::uint64_t next_tick() {
-    return sd_.tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  SharedDataset::GridSlot* find_grid_locked(std::uint64_t bits) {
-    for (auto& s : sd_.grids_) {
-      if (s->eps_bits == bits) {
-        s->last_used.store(next_tick(), std::memory_order_relaxed);
-        return s.get();
-      }
-    }
-    return nullptr;
-  }
-
-  SharedDataset::PlanSlot* find_plan_locked(std::uint64_t key,
-                                            CellPattern pattern) {
-    for (auto& s : sd_.plans_) {
-      if (s->grid_key == key && s->pattern == pattern &&
-          s->probe_sig == probe_sig_) {
-        s->last_used.store(next_tick(), std::memory_order_relaxed);
-        return s.get();
-      }
-    }
-    return nullptr;
-  }
-
-  template <typename Slot>
-  static std::shared_ptr<Slot> shared_of(
-      const std::vector<std::shared_ptr<Slot>>& v, Slot* raw) {
-    for (const auto& s : v) {
-      if (s.get() == raw) return s;
-    }
-    return nullptr;  // unreachable: caller found `raw` in `v` under lock
-  }
-
-  /// LRU-evicts beyond `bound`. The just-inserted slot holds the max
-  /// tick, so it is never the victim; pinned runs keep evicted slots
-  /// alive through their shared_ptrs.
-  template <typename Slot>
-  void evict_lru_locked(std::vector<std::shared_ptr<Slot>>& v,
-                        std::size_t bound) {
-    bound = std::max<std::size_t>(1, bound);
-    if (v.size() <= bound) return;
-    const auto victim = std::min_element(
-        v.begin(), v.end(), [](const auto& a, const auto& b) {
-          return a->last_used.load(std::memory_order_relaxed) <
-                 b->last_used.load(std::memory_order_relaxed);
-        });
-    v.erase(victim);
-    count("evictions");
-  }
-
-  void ensure_plan_slot(CellPattern pattern) {
-    if (pslot_ != nullptr) return;
-    const std::uint64_t key = grid_->content_key();
-    {
-      std::shared_lock lk(sd_.mu_);
-      if (auto* s = find_plan_locked(key, pattern)) {
-        pslot_ = shared_of(sd_.plans_, s);
-        return;
-      }
-    }
-    std::unique_lock lk(sd_.mu_);
-    if (auto* s = find_plan_locked(key, pattern)) {
-      pslot_ = shared_of(sd_.plans_, s);
-      return;
-    }
-    auto slot = std::make_shared<SharedDataset::PlanSlot>();
-    slot->grid_key = key;
-    slot->pattern = pattern;
-    slot->probe_sig = probe_sig_;
-    slot->last_used.store(next_tick(), std::memory_order_relaxed);
-    pslot_ = slot;
-    sd_.plans_.push_back(std::move(slot));
-    evict_lru_locked(sd_.plans_, sd_.max_plans_);
-  }
-
-  /// Single-flight resolution of one future-valued artifact inside the
-  /// pinned plan slot. `member` picks the future, `build` produces the
-  /// artifact (runs outside any lock).
-  template <typename Ptr, typename Member, typename Build>
-  Ptr resolve_in_slot(const char* artifact, Member member, Build build) {
-    std::shared_future<Ptr> fut;
-    std::promise<Ptr> prom;
-    bool builder = false;
-    {
-      std::shared_lock lk(sd_.mu_);
-      if (member(*pslot_)->valid()) fut = *member(*pslot_);
-    }
-    if (!fut.valid()) {
-      std::unique_lock lk(sd_.mu_);
-      if (member(*pslot_)->valid()) {
-        fut = *member(*pslot_);
-      } else {
-        builder = true;
-        fut = prom.get_future().share();
-        *member(*pslot_) = fut;
-      }
-    }
-    cache_event(artifact, !builder);
-    if (builder) {
-      try {
-        prom.set_value(build());
-      } catch (...) {
-        prom.set_exception(std::current_exception());
-        std::unique_lock lk(sd_.mu_);
-        *member(*pslot_) = {};  // roll back so later requests rebuild
-        throw;
-      }
-    }
-    return fut.get();
-  }
-
-  std::pair<std::mutex*, SharedDataset::EstimateMap*> estimate_map(
-      bool queue) {
-    if (queue) return {&pslot_->est_mu, &pslot_->queue_estimates};
-    return {&gslot_->est_mu, &gslot_->strided_estimates};
-  }
-
-  void count(const char* event) {
-    if (svc_.config().obs.metrics != nullptr) {
-      svc_.config().obs.metrics->counter(std::string("sj.cache.") + event)
-          .add(1);
-    }
-  }
-
-  void cache_event(const char* artifact, bool hit) {
-    if (robs_ != nullptr && robs_->breakdown != nullptr) {
-      robs_->breakdown->count_cache(artifact, hit);
-    }
-    obs::Registry* m = svc_.config().obs.metrics;
-    if (m == nullptr) return;
-    m->counter(hit ? "sj.cache.hits" : "sj.cache.misses").add(1);
-    m->counter(std::string("sj.cache.") + artifact +
-               (hit ? ".hits" : ".misses"))
-        .add(1);
-  }
-
-  JoinService& svc_;
-  SharedDataset& sd_;
-  const Dataset* probe_ = nullptr;    ///< R×S only; null for Self/KNN
-  std::uint64_t probe_sig_ = 0;
-  obs::RequestObs* robs_;             ///< request attribution (may be null)
-  std::unique_ptr<ThreadPool> pool_;  ///< depot lease, returned in dtor
-  int pool_threads_ = 0;
-
-  // Pins for the run's duration (artifact-lifetime contract).
-  std::shared_ptr<SharedDataset::GridSlot> gslot_;
-  std::shared_ptr<SharedDataset::PlanSlot> pslot_;
-  SharedDataset::GridPtr grid_;
-  SharedDataset::WorkloadsPtr workloads_;
-  SharedDataset::OrderPtr order_;
-};
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // JoinService
 // ---------------------------------------------------------------------------
 
-JoinService::JoinService(ServiceConfig cfg) : cfg_(cfg) {
-  // The flight recorder is always on: cheap enough for serving mode,
-  // and a Failed/Expired response needs breadcrumbs to dump.
-  if (cfg_.obs.recorder == nullptr) {
-    own_recorder_ = std::make_unique<obs::FlightRecorder>();
-  }
-}
+JoinService::JoinService(ServiceConfig cfg) : cfg_(cfg) {}
 
 JoinService::~JoinService() {
   {
@@ -608,7 +291,15 @@ JoinService& JoinService::shared() {
 }
 
 obs::FlightRecorder& JoinService::recorder() const noexcept {
-  return cfg_.obs.recorder != nullptr ? *cfg_.obs.recorder : *own_recorder_;
+  if (cfg_.obs.recorder != nullptr) return *cfg_.obs.recorder;
+  // The flight recorder is always on: cheap enough for serving mode,
+  // and a Failed/Expired response needs breadcrumbs to dump. Its rings
+  // (256 KiB) are built on first use, so a JoinEngine's private
+  // service, whose runs record nothing, never pays for them.
+  std::call_once(recorder_once_, [this] {
+    own_recorder_ = std::make_unique<obs::FlightRecorder>();
+  });
+  return *own_recorder_;
 }
 
 std::shared_ptr<SharedDataset> JoinService::attach(const Dataset& ds) {
@@ -619,26 +310,6 @@ std::shared_ptr<SharedDataset> JoinService::attach(const Dataset& ds) {
   std::erase_if(attached_, [](const auto& w) { return w.expired(); });
   attached_.push_back(sd);
   return sd;
-}
-
-SelfJoinOutput JoinService::execute(SharedDataset& sd,
-                                    const SelfJoinConfig& cfg,
-                                    const std::atomic<bool>* cancel,
-                                    obs::RequestObs* robs) {
-  // Arena lease: returned to the depot on every exit path (including
-  // OverflowError / CancelledError) so working memory stays bounded.
-  struct ArenaLease {
-    JoinService& svc;
-    std::unique_ptr<detail::ScratchArena> arena;
-    ~ArenaLease() { svc.return_arena(std::move(arena)); }
-  } lease{*this, checkout_arena()};
-  // Returns its pool lease in dtor.
-  detail::ServicePlanSource src(*this, sd, &cfg, robs);
-
-  SelfJoinOutput out;
-  detail::plan_and_execute(cfg, sd.dataset(), src, *lease.arena, cancel, out);
-  if (out.stats.fleet.ran()) record_fleet(out.stats.fleet);
-  return out;
 }
 
 SelfJoinOutput JoinService::run(SharedDataset& sd, const SelfJoinConfig& cfg) {
@@ -1494,7 +1165,8 @@ JoinService::DeltaPoll JoinService::poll(SubscriptionId id) {
   out.generation = ds.generation();
   if (out.generation == sub.generation) return out;  // quiescent: no work
 
-  std::optional<PairDelta> delta = delta_for(sub);
+  std::optional<PairDelta> delta =
+      delta_join(*sub.sd, sub.epsilon, sub.generation);
   if (delta.has_value()) {
     count("svc.stream.deltas");
   } else {
@@ -1525,22 +1197,6 @@ JoinService::DeltaPoll JoinService::poll(SubscriptionId id) {
   }
   out.delta = std::move(*delta);
   return out;
-}
-
-std::optional<PairDelta> JoinService::delta_for(Subscription& sub) {
-  SharedDataset& sd = *sub.sd;
-  const Dataset& ds = sd.dataset();
-  if (ds.empty()) return std::nullopt;
-  const auto window = ds.mutations_since(sub.generation);
-  if (!window.has_value()) return std::nullopt;
-  const ChurnSummary churn = summarize_churn(ds, *window);
-  // Resolve (and repair) the ε grid through the shared artifact cache —
-  // a poll warms the same grid later join requests hit.
-  detail::ServicePlanSource src(*this, sd, /*cfg=*/nullptr, nullptr);
-  src.sync();
-  bool hit = false;
-  src.resolve_grid(sub.epsilon, nullptr, &hit);
-  return compute_pair_delta(src.grid(), churn, sub.epsilon);
 }
 
 PairDelta JoinService::full_diff(Subscription& sub) {

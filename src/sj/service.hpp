@@ -1,22 +1,23 @@
-// JoinService: concurrent multi-client serving on one shared engine
-// core.
+// JoinService: the artifact store and concurrent multi-client serving.
 //
-// PR 4's JoinEngine made plan reuse cheap but pinned each engine to a
-// single thread, so concurrent clients each paid for private caches
-// (the free self_join kept one engine *per thread*). JoinService is
-// the serving layer on top of the same plan+execute pipeline
-// (sj/pipeline.hpp), built for many clients against shared prepared
-// datasets — the paper's scheduling discipline (decouple work items
-// from executors, §III-D) applied one level up:
+// Every join runs through one plan+execute pipeline (sj/pipeline.cpp)
+// against one artifact store: a SharedDataset per admitted dataset,
+// holding the grid, workload, D' and estimate caches and repairing
+// them under churn (sync_shared). JoinEngine (sj/engine.hpp) is a
+// single-threaded facade over a private JoinService; the service is
+// built for many clients against shared prepared datasets — the
+// paper's scheduling discipline (decouple work items from executors,
+// §III-D) applied one level up:
 //
 //   attach(ds)  -> shared_ptr<SharedDataset>   shared plan caches
 //   run(sd,cfg) -> SelfJoinOutput              synchronous, on the caller
 //   submit(...) -> Ticket                      queued, on the worker pool
 //   self_join() -> SelfJoinOutput              one-shot (no cross-call cache)
+//   delta_join(sd, eps, gen) -> PairDelta      churn delta through the store
 //
 // Concurrency design (docs/SERVICE.md):
 //
-//  * SharedDataset carries the same artifact caches as PreparedDataset
+//  * SharedDataset carries the artifact caches
 //    (GridIndex by epsilon bits, workloads + D' order by
 //    (grid content_key, pattern), estimates by (sample_fraction, skew))
 //    behind a reader/writer lock: concurrent cache *hits* take the
@@ -94,7 +95,7 @@ class ThreadPool;
 
 namespace detail {
 struct ScratchArena;      // sj/execute.hpp
-class ServicePlanSource;  // sj/service.cpp (PlanSource over SharedDataset)
+class ServicePlanSource;  // sj/pipeline.cpp (plan-stage view of the store)
 struct ResultFlight;      // sj/service.cpp (result-coalescing flight slot)
 }  // namespace detail
 
@@ -133,8 +134,9 @@ struct ServiceConfig {
   /// receives svc.* instruments (submitted/completed/rejected/expired/
   /// cancelled/failed counters, svc.queue_depth gauge,
   /// svc.queue_wait_seconds and svc.service_seconds time histograms),
-  /// the sj.cache.* family, the sj.incr.* incremental-repair family
-  /// (repairs/repaired_cells/plan_patches/rebuild_fallbacks), the
+  /// the sj.cache.* family, the sj.incr.* incremental-repair and delta
+  /// family (repairs/repaired_cells/plan_patches/rebuild_fallbacks/
+  /// delta_joins/delta_candidates), the
   /// svc.result_cache.* family (hits/misses/coalesced/subsumed/
   /// evictions/invalidations/repair_kept counters plus a bytes gauge)
   /// and the svc.stream.* subscription family (subscribes/polls/deltas/
@@ -245,16 +247,19 @@ struct ServiceSnapshot {
 /// no run is in flight. A generation change no longer drops the caches
 /// as a unit: each cached grid is clone-and-repaired cell-granularly
 /// from the dataset's mutation log (GridIndex::repair) and dependent
-/// workload/D' plans are patched for the affected cells only, exactly
-/// as the single-threaded engine does (docs/STREAMING.md); only an
-/// unrepairable window (bulk load, log overrun, grid-shape change)
-/// falls back to the old drop-everything behaviour.
+/// workload/D' plans are patched for the affected cells only
+/// (docs/STREAMING.md); only an unrepairable window (bulk load, log
+/// overrun, grid-shape change) falls back to the old drop-everything
+/// behaviour.
 class SharedDataset {
  public:
   SharedDataset(const SharedDataset&) = delete;
   SharedDataset& operator=(const SharedDataset&) = delete;
 
   [[nodiscard]] const Dataset& dataset() const noexcept { return *ds_; }
+  /// Dataset generation the caches were last synced to; it lags
+  /// dataset().generation() until the next run or delta repairs them.
+  [[nodiscard]] std::uint64_t generation() const;
   [[nodiscard]] std::size_t cached_grid_count() const;
   [[nodiscard]] std::size_t cached_plan_count() const;
   /// Approximate bytes held by *ready* cached artifacts (built grids,
@@ -329,7 +334,7 @@ class SharedDataset {
   /// One immutable cached result. `results` is a full ResultSet copy
   /// of the producing run's output — stored pairs are already in
   /// canonical (lexicographically sorted) order, since
-  /// execute_self_join canonicalizes every stored-pairs run — so
+  /// the execution stage canonicalizes every stored-pairs run — so
   /// serving a copy reproduces a cold run's pair ordering bit for bit.
   /// `stats` is the producing run's scalar summary with the per-batch /
   /// per-slot vectors cleared (they describe an execution, not an
@@ -448,9 +453,22 @@ class JoinService {
                                          const SelfJoinConfig& cfg);
 
   /// Reclaims a consumed output's allocations into an idle pooled
-  /// arena (JoinEngine::recycle's analogue). Drops them when no arena
-  /// is idle.
+  /// arena (JoinEngine::recycle forwards here). Drops them when no
+  /// arena is idle.
   void recycle(SelfJoinOutput&& out);
+
+  /// Streaming delta join (docs/STREAMING.md): the exact gained/lost
+  /// ordered-pair sets of the `epsilon` self-join across the mutation
+  /// window [from_generation, now], computed by re-joining only the
+  /// churn's ε-neighborhood. Serves the grid from (and repairs) the same
+  /// store run() uses, and counts sj.incr.delta_joins /
+  /// sj.incr.delta_candidates. Returns nullopt when the window is not
+  /// available — the dataset's bounded log no longer covers
+  /// from_generation, a bulk load intervened, or the dataset is empty —
+  /// in which case the caller must fall back to a full join. Requires
+  /// epsilon > 0.
+  [[nodiscard]] std::optional<PairDelta> delta_join(
+      SharedDataset& sd, double epsilon, std::uint64_t from_generation);
 
   // --- streaming delta subscriptions (docs/STREAMING.md) ---
 
@@ -482,9 +500,8 @@ class JoinService {
   /// subscribe) and advances the subscription to the current dataset
   /// generation. Quiescent datasets answer an empty delta without any
   /// join work; churn within the mutation-log window is answered by
-  /// re-joining only the churn's ε-neighborhood (JoinEngine::delta_join
-  /// semantics). Polls are serialized per service; each poll runs on
-  /// the calling thread.
+  /// re-joining only the churn's ε-neighborhood (delta_join). Polls are
+  /// serialized per service; each poll runs on the calling thread.
   [[nodiscard]] DeltaPoll poll(SubscriptionId id);
   /// Closes a subscription; unknown ids are a no-op.
   void unsubscribe(SubscriptionId id);
@@ -616,8 +633,10 @@ class JoinService {
   void return_pool(int num_threads, std::unique_ptr<ThreadPool> pool);
 
   ServiceConfig cfg_;
-  /// Backs recorder() when cfg_.obs.recorder is null (always-on).
-  std::unique_ptr<obs::FlightRecorder> own_recorder_;
+  /// Backs recorder() when cfg_.obs.recorder is null (always-on,
+  /// created by the first recorder() call).
+  mutable std::once_flag recorder_once_;
+  mutable std::unique_ptr<obs::FlightRecorder> own_recorder_;
   std::atomic<std::uint64_t> next_request_id_{0};
   mutable std::mutex dump_mu_;  ///< serializes recorder dumps
   /// Service-wide result-cache bytes (sum over attached datasets),
@@ -664,9 +683,6 @@ class JoinService {
     std::uint64_t generation = 0;
     std::vector<ResultPair> retained;
   };
-  /// Incremental path: delta from the mutation log + a shared-cache
-  /// grid. nullopt when the window is unavailable (caller falls back).
-  std::optional<PairDelta> delta_for(Subscription& sub);
   /// Fallback path: full re-join diffed against the retained set.
   PairDelta full_diff(Subscription& sub);
   mutable std::mutex sub_mu_;  ///< guards subs_ / next_sub_id_; polls

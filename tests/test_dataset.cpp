@@ -57,6 +57,13 @@ TEST(Dataset, DimsValidated) {
   EXPECT_THROW(Dataset(17), CheckError);
 }
 
+TEST(Dataset, RejectsDimsAboveMaxDims) {
+  // One limit for every layer: a dataset the grid index could never
+  // join is refused at construction.
+  EXPECT_THROW(Dataset(9), CheckError);
+  EXPECT_EQ(Dataset(kMaxDims).dims(), kMaxDims);
+}
+
 TEST(DatasetConcurrency, FreshDatasetCornersMatchSerialReadAcrossThreads) {
   // The bbox cache is built by the first const reader; 8 concurrent
   // first readers must publish it once and all see the serial values.
@@ -324,6 +331,16 @@ TEST_F(IoTest, BinaryRejectsNonFiniteCoordinates) {
           << e.what();
     }
   }
+}
+
+TEST_F(IoTest, CsvWiderThanMaxDimsFailsToLoad) {
+  const std::string p = path("gsj_io_test.csv");
+  std::FILE* f = std::fopen(p.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f, "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9\n");
+  std::fclose(f);
+  EXPECT_THROW((void)load_csv(p, 9), CheckError);
+  EXPECT_EQ(load_csv(p, kMaxDims).dims(), kMaxDims);
 }
 
 TEST_F(IoTest, CsvRejectsNonFiniteCoordinates) {

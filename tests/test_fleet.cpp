@@ -2,7 +2,8 @@
 // partitioning invariants, the KernelStats merge compositions, the
 // config validators, fleet-vs-single-device bit-identity, the
 // adaptive-vs-static rebalancer comparison and the fleet observability
-// surfaces (stats, sj.fleet.* / svc.fleet.* metrics, snapshot rows).
+// surfaces (stats, sj.fleet.* / svc.fleet.* metrics, snapshot rows),
+// plus the fleet's overflow-rollback and cancellation paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,14 +11,20 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
+#include "data/generators.hpp"
 #include "grid/grain.hpp"
 #include "grid/grid_index.hpp"
 #include "grid/workload.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "simt/fleet.hpp"
 #include "sj/selfjoin.hpp"
@@ -490,6 +497,96 @@ TEST(Fleet, ServiceAccountsFleetRuns) {
   (void)svc.run(*sd, SelfJoinConfig::combined(0.05));
   EXPECT_EQ(svc.snapshot().fleet_runs, 2u);
   EXPECT_EQ(reg.counter("svc.fleet.runs").value(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Overflow recovery and cancellation on the fleet path: an injected
+// detection capacity far below what planning assumed forces rollback
+// and split-retry on every device. One-lane warps and one static grain
+// per device make a grain's first launch span more than one warp block
+// (simt::detail::kWarpBlock warps), so the overflow is caught by the
+// abort hook mid-launch, not only at the launch's end.
+
+SelfJoinConfig overflowing_fleet_cfg(SelfJoinConfig cfg, int devices,
+                                     const Dataset* probe) {
+  if (probe != nullptr) {
+    cfg.mode = JoinMode::RxS;
+    cfg.probe = probe;
+  }
+  cfg.store_pairs = true;
+  cfg.device.warp_size = 1;
+  cfg.fleet.num_devices = devices;
+  cfg.fleet.adaptive = false;
+  cfg.batching.inject_capacity = 3000;
+  cfg.batching.max_overflow_retries = 1'000'000;
+  return cfg;
+}
+
+TEST(Fleet, OverflowRecoveryMatchesUnbatchedSingleDevice) {
+  const Dataset ds = gen_uniform(20'000, 2, 23, 0.0, 1.0);
+  const Dataset probe = gen_uniform(20'000, 2, 29, 0.0, 1.0);
+  const double eps = 0.01;
+  const SelfJoinConfig variants[] = {SelfJoinConfig::work_queue_cfg(eps),
+                                     SelfJoinConfig::sort_by_wl(eps)};
+  for (const Dataset* p : {static_cast<const Dataset*>(nullptr), &probe}) {
+    for (const SelfJoinConfig& base : variants) {
+      SelfJoinConfig ref = base;
+      if (p != nullptr) {
+        ref.mode = JoinMode::RxS;
+        ref.probe = p;
+      }
+      ref.store_pairs = true;
+      ref.batching.enabled = false;
+      const SelfJoinOutput want = self_join(ds, ref);
+      for (const int devices : {2, 4}) {
+        SCOPED_TRACE(std::string(p != nullptr ? "RxS" : "Self") +
+                     (base.work_queue ? " work-queue" : " strided") +
+                     " devices=" + std::to_string(devices));
+        const SelfJoinConfig cfg = overflowing_fleet_cfg(base, devices, p);
+        const SelfJoinOutput out = self_join(ds, cfg);
+        ASSERT_TRUE(out.stats.fleet.ran());
+        EXPECT_EQ(out.results.pairs(), want.results.pairs());
+        EXPECT_EQ(out.stats.result_pairs, want.stats.result_pairs);
+        EXPECT_GT(out.stats.overflow_retries, 0u);
+        EXPECT_GT(out.stats.wasted.aborted_launches, 0u);
+        EXPECT_LE(out.stats.max_batch_pairs, 3000u);
+      }
+    }
+  }
+}
+
+TEST(Fleet, ExhaustedOverflowRetriesThrow) {
+  const Dataset ds = make_skewed_clusters(1500, 23);
+  for (const bool wq : {true, false}) {
+    SelfJoinConfig cfg = overflowing_fleet_cfg(
+        wq ? SelfJoinConfig::work_queue_cfg(0.03)
+           : SelfJoinConfig::sort_by_wl(0.03),
+        2, nullptr);
+    cfg.batching.max_overflow_retries = 0;
+    EXPECT_THROW((void)self_join(ds, cfg), OverflowError) << wq;
+  }
+}
+
+TEST(Fleet, MidFlightCancelThrowsCancelled) {
+  // A fleet run long enough (~1 s of kernel work) that the cancel lands
+  // inside the execution stage, where the token is polled at grain,
+  // batch and warp-block boundaries.
+  const Dataset ds = gen_uniform(100'000, 2, 77, 0.0, 1.0);
+  JoinService svc;
+  const auto sd = svc.attach(ds);
+  JoinRequest req;
+  req.config = fleet_cfg(SelfJoinConfig::combined(0.05), 2);
+  req.config.store_pairs = false;
+  JoinService::Ticket t = svc.submit(sd, req);
+  while (!t.started()) std::this_thread::yield();
+  t.cancel();
+  const JoinResponse r = t.get();
+  EXPECT_EQ(r.status, JoinStatus::Cancelled);
+  // The execution stage observed the token (the plan stage never polls
+  // it): its breadcrumb is on the request's recorder trail.
+  std::ostringstream os;
+  svc.recorder().dump(os, r.request_id);
+  EXPECT_NE(os.str().find(" cancelled value="), std::string::npos) << os.str();
 }
 
 TEST(Fleet, WeePercentUsesConfiguredWarpSize) {

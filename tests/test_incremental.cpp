@@ -177,13 +177,21 @@ TEST(MutationLog, FillDimBumpsOnceAndInvalidatesHistory) {
   EXPECT_TRUE(now->empty());
 }
 
-TEST(MutationLog, WideDatasetsSkipLogging) {
-  Dataset ds(Mutation::kCoordCap + 1);
-  std::vector<double> p(static_cast<std::size_t>(ds.dims()), 0.5);
+TEST(MutationLog, MaxDimsDatasetLogsMutations) {
+  // The widest dataset there is (kMaxDims; wider ones are rejected at
+  // construction) logs every coordinate of every mutation.
+  Dataset ds(kMaxDims);
+  std::vector<double> p(static_cast<std::size_t>(ds.dims()));
+  for (std::size_t d = 0; d < p.size(); ++d) p[d] = 0.5 + 0.01 * d;
   const std::uint64_t base = ds.generation();
   ds.push_back(p);
   EXPECT_EQ(ds.generation(), base + 1);
-  EXPECT_FALSE(ds.mutations_since(base).has_value());
+  const auto window = ds.mutations_since(base);
+  ASSERT_TRUE(window.has_value());
+  ASSERT_EQ(window->size(), 1u);
+  for (std::size_t d = 0; d < p.size(); ++d) {
+    EXPECT_EQ((*window)[0].new_coords[d], p[d]) << "dim " << d;
+  }
 }
 
 TEST(MutationLog, ReadOnlyAccessDoesNotBumpGeneration) {
@@ -806,6 +814,12 @@ TEST(ServiceIncremental, SubscriptionDeliversIncrementalDeltas) {
     before = std::move(after);
   }
   EXPECT_GE(metrics.counter("svc.stream.polls").value(), 4u);
+  // Polls run the same delta path as JoinEngine::delta_join, so they
+  // count on the same sj.incr.* instruments.
+  EXPECT_EQ(metrics.counter("sj.incr.delta_joins").value(),
+            metrics.counter("svc.stream.deltas").value());
+  EXPECT_GE(metrics.counter("sj.incr.delta_joins").value(), 3u);
+  EXPECT_GT(metrics.counter("sj.incr.delta_candidates").value(), 0u);
 
   svc.unsubscribe(sub);
   EXPECT_EQ(svc.subscription_count(), 0u);

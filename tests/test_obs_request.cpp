@@ -307,6 +307,47 @@ TEST(RequestSpans, ChildSpansNestInsideRootAndExportWithArgs) {
   EXPECT_TRUE(saw_request_args);
 }
 
+TEST(RequestSpans, FleetOverflowRetriesAreVisible) {
+  // A fleet request whose launches overflow an injected capacity: every
+  // launch (committed or rolled back) gets a "batch N" span and every
+  // rollback an "overflow_retry" span, all inside the request's tree.
+  const Dataset ds = gen_exponential(2000, 2, /*seed=*/9);
+  obs::Tracer tracer(obs::TimeMode::Logical);
+  ServiceConfig scfg;
+  scfg.workers = 1;
+  scfg.obs.tracer = &tracer;
+  JoinResponse r;
+  {
+    JoinService svc(scfg);
+    const auto sd = svc.attach(ds);
+    JoinRequest req;
+    req.config = SelfJoinConfig::combined(0.03);
+    req.config.store_pairs = false;
+    req.config.fleet.num_devices = 2;
+    req.config.batching.inject_capacity = 6000;
+    r = svc.submit(sd, req).get();
+  }
+  ASSERT_EQ(r.status, JoinStatus::Ok) << r.error;
+  ASSERT_GT(r.breakdown.overflow_retries, 0u);
+
+  std::set<std::uint64_t> ids;
+  for (const auto& s : tracer.host_spans()) {
+    if (s.request == r.request_id) ids.insert(s.id);
+  }
+  std::size_t batch_spans = 0;
+  std::size_t retry_spans = 0;
+  for (const auto& s : tracer.host_spans()) {
+    if (s.request != r.request_id) continue;
+    if (s.name.rfind("batch ", 0) == 0) ++batch_spans;
+    if (s.name == "overflow_retry") ++retry_spans;
+    if (s.parent != 0) {
+      EXPECT_TRUE(ids.count(s.parent)) << s.name;
+    }
+  }
+  EXPECT_EQ(batch_spans, r.breakdown.batches + r.breakdown.overflow_retries);
+  EXPECT_EQ(retry_spans, r.breakdown.overflow_retries);
+}
+
 // -------------------------------------------------- request breakdown
 
 TEST(RequestBreakdown, CacheAttributionColdThenWarm) {
